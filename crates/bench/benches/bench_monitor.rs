@@ -1,6 +1,7 @@
-//! E5 (criterion leg) — monitor analysis cost on a fixed mid-size
-//! capture: sequential vs rayon-parallel, the measured core of the
-//! paper's "unsustainable performance overhead" lesson.
+//! E5 (criterion leg) — monitor-only analysis cost (no TLS inspection)
+//! on a fixed mid-size capture: one engine vs one shard worker per
+//! rayon thread, the measured core of the paper's "unsustainable
+//! performance overhead" lesson.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ja_monitor::engine::{Monitor, MonitorConfig};
@@ -17,7 +18,13 @@ fn bench_monitor(c: &mut Criterion) {
         b.iter(|| black_box(monitor.analyze(black_box(&trace))))
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| black_box(monitor.analyze_parallel(black_box(&trace))))
+        b.iter(|| {
+            black_box(ja_bench::monitor_only(
+                &monitor,
+                black_box(&trace),
+                rayon::current_num_threads(),
+            ))
+        })
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 //! wave model.
 //!
 //! Each cell builds a deployment with `decoys` bait servers, runs an
-//! internet-wave campaign through `Pipeline::run_campaigns_streamed`,
+//! internet-wave campaign through `Pipeline::run_campaigns`,
 //! and reads the intel loop's outcome: decoys capture the payload
 //! mid-stream, `rule_from_capture` signatures propagate over the intel
 //! bus after the configured delay, and production flows beginning after
@@ -62,7 +62,7 @@ fn run_wave(
     };
     let wave = build_wave(p.deployment(), &intel, &spec, &mut rng);
     let start = SimTime::from_secs(60);
-    let out = p.run_campaigns_streamed(vec![(start, wave.campaign)], seed);
+    let out = p.run_campaigns(vec![(start, wave.campaign)], seed);
     let intel = out.intel.expect("intel loop configured");
     let avail = intel.first_available;
     let hit = wave

@@ -24,7 +24,7 @@ fn main() {
     );
     for volume in [1usize, 2, 5, 10, 20, 40] {
         let mut cfg = PipelineConfig::small_lab(seed);
-        cfg.parallel = true;
+        cfg.shards = Some(rayon::current_num_threads());
         let mut p = Pipeline::new(cfg);
         let mut rng = SimRng::new(seed + volume as u64);
         let classes = [
@@ -56,7 +56,7 @@ fn main() {
         }
         // Fused streaming: the AI-scaled wave is analyzed as it is
         // generated, so the bench measures the online regime directly.
-        let out = p.run_campaigns_streamed(campaigns, seed);
+        let out = p.run_campaigns(campaigns, seed);
         let horizon_hours = out.scenario.end.as_secs_f64().max(3600.0) / 3600.0;
         let alerts_per_hour = out.report.alerts_total() as f64 / horizon_hours;
         let backlog = (alerts_per_hour - TRIAGE_PER_HOUR).max(0.0);

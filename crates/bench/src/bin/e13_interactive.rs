@@ -4,14 +4,14 @@
 //! steps and synthesize each move from the kernel's previous reply
 //! through the session transport. This harness measures three things:
 //!
-//! - **interactive tax** — wall clock of the fused streamed pipeline on
+//! - **interactive tax** — wall clock of the pipeline on
 //!   a plan whose attacks are all hands-on-keyboard adversaries vs the
 //!   same benign load with the equivalent scripted campaign classes;
 //! - **worm time-to-detection** — sim-time lag between the notebook
 //!   worm's first action and the first account-takeover alert, plus how
 //!   many servers it reached and on how many it was flagged;
-//! - **path equivalence** — the interactive plan replayed on
-//!   `run_streamed` and `run_streamed_parallel` must produce the same
+//! - **path equivalence** — the interactive plan replayed with one
+//!   producer and shard and with two of each must produce the same
 //!   alert stream bit-for-bit (the determinism the proptests pin,
 //!   spot-checked here on the bench workload).
 //!
@@ -157,13 +157,13 @@ fn main() {
             if scripted_first {
                 let mut p = Pipeline::new(config(servers, seed));
                 let started = std::time::Instant::now();
-                let out = p.run_streamed(&scripted_plan(benign, seed));
+                let out = p.run(&scripted_plan(benign, seed));
                 scripted_secs = scripted_secs.min(started.elapsed().as_secs_f64());
                 scripted_out = Some(out);
             } else {
                 let mut p = Pipeline::new(config(servers, seed));
                 let started = std::time::Instant::now();
-                let out = p.run_streamed(&interactive_plan(benign, seed));
+                let out = p.run(&interactive_plan(benign, seed));
                 interactive_secs = interactive_secs.min(started.elapsed().as_secs_f64());
                 interactive_out = Some(out);
             }
@@ -255,11 +255,11 @@ fn main() {
         "detection lag {ttd_secs:.0}s outside the campaign window {window:.0}s"
     );
 
-    // -- path equivalence: streamed vs fully fanned-out parallel.
+    // -- path equivalence: inline vs fully fanned-out parallel.
     let mut pcfg = config(servers, seed);
     pcfg.shards = Some(2);
     pcfg.producers = Some(2);
-    let par = Pipeline::new(pcfg).run_streamed_parallel(&interactive_plan(benign, seed));
+    let par = Pipeline::new(pcfg).run(&interactive_plan(benign, seed));
     let identical = fingerprint(&out.report.alerts) == fingerprint(&par.report.alerts);
     assert!(
         identical,
@@ -268,7 +268,7 @@ fn main() {
         par.report.alerts.len()
     );
     println!(
-        "\npath equivalence: {} alerts IDENTICAL on run_streamed and run_streamed_parallel",
+        "\npath equivalence: {} alerts IDENTICAL at 1 and 2 producers/shards",
         out.report.alerts.len()
     );
 

@@ -1,12 +1,13 @@
 //! E5 — the paper's scalability lesson: "network traffic will keep
 //! increasing, and a security auditor may add unsustainable performance
 //! overhead … one must harness the power of supercomputers". We sweep
-//! offered load and compare four monitor configurations: the sequential
-//! batch path, the rayon flow-sharded path, a fixed-width sharded run,
-//! and the online streaming engine (bounded memory, per-close
-//! eviction). A final section compares the two *end-to-end* pipeline
-//! modes — batch (materialize trace, then analyze) vs fused streaming
-//! (generation pumped straight into the monitor) — on the same plan.
+//! offered load and compare four *monitor-only* configurations over a
+//! captured trace, none with TLS inspection: one engine, one shard
+//! worker per rayon thread, a fixed-width sharded run, and the online
+//! streaming engine (bounded memory, per-close eviction). Then the
+//! end-to-end pipeline (generation pumped straight into the monitor,
+//! TLS inspection on) is timed on one plan, and swept over producer =
+//! shard thread counts.
 //!
 //! `--tiny` restricts the sweep to the smallest workload (CI smoke).
 //! `--json` additionally writes machine-readable `BENCH_E5.json` so the
@@ -25,9 +26,18 @@ struct BenchReport {
     seed: u64,
     tiny: bool,
     rayon_threads: usize,
-    workloads: Vec<WorkloadRow>,
+    monitor_only: MonitorOnly,
     end_to_end: EndToEnd,
     thread_sweep: Vec<ThreadSweepRow>,
+}
+
+/// The monitor-path sweep: the monitor alone over a captured trace with
+/// `MonitorConfig::default` (no TLS inspection), which is not what the
+/// pipeline runs.
+#[derive(serde::Serialize)]
+struct MonitorOnly {
+    label: &'static str,
+    rows: Vec<WorkloadRow>,
 }
 
 /// One row of the monitor-path sweep, for the JSON report.
@@ -52,24 +62,20 @@ struct Throughput {
     streaming: Option<f64>,
 }
 
-/// The end-to-end batch-vs-streamed comparison, for the JSON report.
+/// The end-to-end pipeline run, for the JSON report.
 #[derive(serde::Serialize)]
 struct EndToEnd {
     servers: usize,
     sessions: usize,
+    shards: usize,
     segments: u64,
-    batch_secs: Option<f64>,
-    streamed_secs: Option<f64>,
-    batch_segments_per_sec: Option<f64>,
-    streamed_segments_per_sec: Option<f64>,
-    streamed_vs_batch_speedup: Option<f64>,
-    batch_peak_live_flows: u64,
-    streamed_peak_live_flows: u64,
+    wall_secs: Option<f64>,
+    segments_per_sec: Option<f64>,
+    peak_live_flows: u64,
 }
 
 /// One point of the end-to-end thread sweep: both pipeline ends fanned
-/// out with producers = shards = `threads`
-/// ([`Pipeline::run_streamed_parallel`]).
+/// out with producers = shards = `threads`.
 #[derive(serde::Serialize)]
 struct ThreadSweepRow {
     threads: usize,
@@ -95,10 +101,9 @@ fn e2e_config(servers: usize, seed: u64) -> PipelineConfig {
         decoys: 0,
         seed,
     };
-    // The E5 configuration under test: sharded analysis, so the batch
-    // path fans out over rayon and the streamed path overlaps
-    // generation with per-shard analysis threads.
-    cfg.parallel = true;
+    // The E5 configuration under test: generation overlaps per-shard
+    // analysis threads, one per rayon thread.
+    cfg.shards = Some(rayon::current_num_threads());
     cfg
 }
 
@@ -119,6 +124,7 @@ fn main() {
     let json = ja_bench::flag_from_args("--json");
     let reps = if tiny { 1 } else { 3 };
     println!("=== E5: monitor overhead vs offered traffic (seed {seed}) ===\n");
+    println!("monitor-only sweep: captured trace, no TLS inspection\n");
     println!(
         "rayon threads available: {}\n",
         rayon::current_num_threads()
@@ -151,9 +157,16 @@ fn main() {
         let monitor = Monitor::new(MonitorConfig::default());
         // Warm + best-of-N to keep numbers stable in a shared VM.
         let seq_secs = ja_bench::best_of(reps, || monitor.analyze(&trace).1.elapsed_secs);
-        let par_secs = ja_bench::best_of(reps, || monitor.analyze_parallel(&trace).1.elapsed_secs);
+        let par_secs = ja_bench::best_of(reps, || {
+            let width = rayon::current_num_threads();
+            ja_bench::monitor_only(&monitor, &trace, width)
+                .1
+                .elapsed_secs
+        });
         let sharded_secs = ja_bench::best_of(reps, || {
-            monitor.analyze_sharded(&trace, shards).1.elapsed_secs
+            ja_bench::monitor_only(&monitor, &trace, shards)
+                .1
+                .elapsed_secs
         });
         let mut peak_live = 0u64;
         let stream_secs = ja_bench::best_of(reps, || {
@@ -201,76 +214,35 @@ fn main() {
             streaming_peak_live_flows: peak_live,
         });
     }
+    println!("\n(speedup = par/seq throughput, par = one shard worker per rayon thread; > 1 means");
     println!(
-        "\n(speedup = parallel/sequential throughput; > 1 means the rayon path wins. shrd = explicit"
+        " sharding wins. shrd = explicit per-point shard width; strm = online streaming engine"
     );
-    println!(
-        " per-point shard width; strm = online streaming engine whose peak-live column shows the"
-    );
-    println!(" bounded flow-table high-water mark the batch paths don't have.)");
+    println!(" whose peak-live column shows its bounded flow-table high-water mark.)");
 
-    // End-to-end: batch pipeline (materialize, then analyze) vs the
-    // fused streamed pipeline (generation overlaps analysis, no trace).
+    // End-to-end: the pipeline as configured, generation overlapped
+    // with sharded analysis and TLS inspection on.
     let (servers, sessions) = if tiny { (2, 1) } else { (16, 4) };
-    println!(
-        "\n=== end-to-end pipeline: batch vs fused streaming ({servers} srv x {sessions}) ===\n"
-    );
-    // Interleave the two modes rep by rep, alternating which goes
-    // first in each pair (best-of over all reps): measuring one mode
-    // entirely before the other — or always in the same slot of the
-    // pair — biases allocator/cache state and CPU-throttle windows
-    // toward one side and swamps the real difference.
+    let e2e_shards = rayon::current_num_threads();
+    println!("\n=== end-to-end pipeline ({servers} srv x {sessions}, {e2e_shards} shards) ===\n");
     let e2e_reps = if tiny { 3 } else { reps.max(13) };
-    let mut batch_peak = 0u64;
-    let mut streamed_peak = 0u64;
+    let mut peak_live = 0u64;
     let mut segments = 0u64;
-    let mut batch_secs = f64::MAX;
-    let mut streamed_secs = f64::MAX;
-    let run_batch = |segments: &mut u64, batch_peak: &mut u64, batch_secs: &mut f64| {
+    let wall_secs = ja_bench::best_of(e2e_reps, || {
         let mut p = Pipeline::new(e2e_config(servers, seed));
         let started = std::time::Instant::now();
         let out = p.run(&e2e_plan(sessions, seed));
-        *batch_secs = batch_secs.min(started.elapsed().as_secs_f64());
-        *batch_peak = out.monitor_stats.peak_live_flows;
-        *segments = out.monitor_stats.segments;
-    };
-    let run_streamed = |streamed_peak: &mut u64, streamed_secs: &mut f64| {
-        let mut p = Pipeline::new(e2e_config(servers, seed));
-        let started = std::time::Instant::now();
-        let out = p.run_streamed(&e2e_plan(sessions, seed));
-        *streamed_secs = streamed_secs.min(started.elapsed().as_secs_f64());
-        *streamed_peak = out.monitor_stats.peak_live_flows;
-    };
-    for rep in 0..e2e_reps {
-        if rep % 2 == 0 {
-            run_batch(&mut segments, &mut batch_peak, &mut batch_secs);
-            run_streamed(&mut streamed_peak, &mut streamed_secs);
-        } else {
-            run_streamed(&mut streamed_peak, &mut streamed_secs);
-            run_batch(&mut segments, &mut batch_peak, &mut batch_secs);
-        }
-    }
-    let batch_tput = segments as f64 / batch_secs;
-    let streamed_tput = segments as f64 / streamed_secs;
-    let speedup = batch_secs / streamed_secs;
-    println!(
-        "{:<10} {:>12} {:>12} {:>14} {:>12}",
-        "mode", "wall (s)", "sg/s", "peak-live", "speedup"
-    );
-    println!(
-        "{:<10} {:>12.3} {:>12.0} {:>14} {:>12}",
-        "batch", batch_secs, batch_tput, batch_peak, "1.00x"
-    );
-    println!(
-        "{:<10} {:>12.3} {:>12.0} {:>14} {:>11.2}x",
-        "streamed", streamed_secs, streamed_tput, streamed_peak, speedup
-    );
-    println!("\n(streamed = Pipeline::run_streamed: same alerts/incidents/scores, no materialized");
-    println!(" trace, generation overlapped with sharded analysis. peak-live shows the bounded");
-    println!(" flow-table high-water mark the batch monitor pass doesn't have.)");
+        let secs = started.elapsed().as_secs_f64();
+        peak_live = out.monitor_stats.peak_live_flows;
+        segments = out.monitor_stats.segments;
+        secs
+    });
+    let e2e_tput = segments as f64 / wall_secs;
+    println!("{:>12} {:>12} {:>14}", "wall (s)", "sg/s", "peak-live");
+    println!("{wall_secs:>12.3} {e2e_tput:>12.0} {peak_live:>14}");
 
-    // Thread sweep: the fully fanned-out pipeline
-    // (Pipeline::run_streamed_parallel) with producers = shards = t.
+    // Thread sweep: the fully fanned-out pipeline with producers =
+    // shards = t.
     // Output is bit-identical at every point (pinned by the ja-core
     // equivalence proptests); only wall clock may move.
     println!(
@@ -286,12 +258,11 @@ fn main() {
     for &t in thread_counts {
         let secs = ja_bench::best_of(e2e_reps, || {
             let mut cfg = e2e_config(servers, seed);
-            cfg.parallel = false;
             cfg.shards = Some(t);
             cfg.producers = Some(t);
             let mut p = Pipeline::new(cfg);
             let started = std::time::Instant::now();
-            let _ = p.run_streamed_parallel(&e2e_plan(sessions, seed));
+            let _ = p.run(&e2e_plan(sessions, seed));
             started.elapsed().as_secs_f64()
         });
         if t == 1 {
@@ -328,18 +299,18 @@ fn main() {
             seed,
             tiny,
             rayon_threads: rayon::current_num_threads(),
-            workloads: rows,
+            monitor_only: MonitorOnly {
+                label: "monitor-only, no inspection",
+                rows,
+            },
             end_to_end: EndToEnd {
                 servers,
                 sessions,
+                shards: e2e_shards,
                 segments,
-                batch_secs: finite(batch_secs),
-                streamed_secs: finite(streamed_secs),
-                batch_segments_per_sec: finite(batch_tput),
-                streamed_segments_per_sec: finite(streamed_tput),
-                streamed_vs_batch_speedup: finite(speedup),
-                batch_peak_live_flows: batch_peak,
-                streamed_peak_live_flows: streamed_peak,
+                wall_secs: finite(wall_secs),
+                segments_per_sec: finite(e2e_tput),
+                peak_live_flows: peak_live,
             },
             thread_sweep: sweep,
         };

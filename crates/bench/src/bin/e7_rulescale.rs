@@ -9,7 +9,7 @@
 //! 1. **Matcher stage**: raw scan throughput (MB/s) of both modes over
 //!    a fixed synthetic cell-code corpus.
 //! 2. **End-to-end**: the real fused streamed pipeline
-//!    ([`Pipeline::run_streamed`]) with the rules pre-published into
+//!    ([`Pipeline::run`]) with the rules pre-published into
 //!    the hot-reload feed. Alert output is asserted identical between
 //!    modes at every sweep point before any number is reported.
 //!
@@ -286,7 +286,7 @@ fn main() {
             let mut p = Pipeline::new(e2e_config(&rules, mode, seed));
             let campaigns = code_heavy_campaigns(p.deployment());
             let started = std::time::Instant::now();
-            let out = p.run_campaigns_streamed(campaigns, seed);
+            let out = p.run_campaigns(campaigns, seed);
             (started.elapsed().as_secs_f64(), out)
         };
         // Interleave the modes rep by rep (alternating order) so

@@ -11,6 +11,9 @@
 use ja_attackgen::mixer::{run_scenario, ScenarioSpec};
 use ja_attackgen::AttackClass;
 use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
+use ja_monitor::alerts::Alert;
+use ja_monitor::engine::{Monitor, MonitorStats};
+use ja_monitor::streaming::StreamingConfig;
 use ja_netsim::trace::Trace;
 
 /// Read `--seed N` from argv, defaulting to 42 so published numbers
@@ -59,6 +62,17 @@ pub fn scaled_trace(servers: usize, sessions_per_server: usize, seed: u64) -> Tr
         },
     );
     out.trace
+}
+
+/// Monitor-only analysis of a captured trace on `shards` streaming
+/// engines in batch (no early eviction) mode — the E5 monitor sweep and
+/// its criterion leg.
+pub fn monitor_only(monitor: &Monitor, trace: &Trace, shards: usize) -> (Vec<Alert>, MonitorStats) {
+    monitor.analyze_stream(shards, StreamingConfig::batch(), |sink| {
+        for r in trace.records() {
+            sink.accept(r.clone());
+        }
+    })
 }
 
 /// Print a markdown-ish table row.

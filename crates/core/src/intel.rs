@@ -12,9 +12,8 @@
 //!    internet-wave [`Campaign`] that visits production servers and
 //!    decoys in shuffled order, so decoys receive *real* campaign
 //!    traffic through the scenario stream.
-//! 2. While [`Pipeline::run_streamed`] pumps the stream, an
-//!    an intel loop watches kernel-audit items from decoy servers.
-//!    Anything executing on a decoy is hostile by construction; each
+//! 2. While [`Pipeline::run`] pumps the stream, an intel loop watches
+//!    kernel-audit items from decoy servers. Anything executing on a decoy is hostile by construction; each
 //!    cell is recorded via [`Decoy::capture`].
 //! 3. Every distinct captured payload yields a signature
 //!    ([`ja_honeypot::signature::rule_from_capture`]) published on the
@@ -31,7 +30,7 @@
 //! publish triggers exactly one recompile per shard.
 //!
 //! [`DeploymentSpec::decoys`]: ja_kernelsim::deployment::DeploymentSpec::decoys
-//! [`Pipeline::run_streamed`]: crate::pipeline::Pipeline::run_streamed
+//! [`Pipeline::run`]: crate::pipeline::Pipeline::run
 
 use ja_attackgen::campaign::{Campaign, CampaignStep};
 use ja_attackgen::stream::ScenarioItem;
@@ -51,7 +50,7 @@ use std::collections::HashSet;
 
 /// Configuration of the pipeline-owned intel loop. Present (`Some`) on
 /// a [`PipelineConfig`](crate::pipeline::PipelineConfig) it activates
-/// decoy capture + signature publication on the streamed path; absent
+/// decoy capture + signature publication in the pipeline; absent
 /// it changes nothing, decoys or not.
 #[derive(Clone, Debug)]
 pub struct IntelConfig {

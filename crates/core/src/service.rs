@@ -261,9 +261,9 @@ pub struct WatermarkProof {
     pub items: u64,
     /// Rolling FNV-1a digest over per-item fingerprints.
     pub digest: u64,
-    /// Producer-side stream state (inline producer path only).
+    /// Producer-side stream state (one producer only).
     pub stream: Option<StreamSnapshot>,
-    /// Monitor engine state (single inline shard only).
+    /// Monitor engine state (one shard only).
     pub shard: Option<MonitorShardSnapshot>,
     /// Intel-loop state at the watermark, when the loop is live.
     pub intel: Option<IntelSnapshot>,

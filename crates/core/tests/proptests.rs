@@ -1,16 +1,23 @@
 //! Property tests: OSCRP totality, scoring bounds, incident-grouping
-//! invariants, risk finiteness, and batch/streamed pipeline
-//! equivalence across random plans.
+//! invariants, risk finiteness, and pipeline equivalence with a batch
+//! oracle across random plans, producer counts and shard counts.
 
-use ja_attackgen::campaign::GroundTruth;
+use ja_attackgen::campaign::{execute, Campaign, GroundTruth};
 use ja_attackgen::AttackClass;
+use ja_audit::detectors::AuditDetector;
+use ja_audit::tracer::Tracer;
 use ja_core::classify::incidents;
 use ja_core::metrics::{score, ScoringConfig};
 use ja_core::oscrp;
-use ja_core::pipeline::{CampaignPlan, InteractiveScenario, Pipeline, PipelineConfig, RunOutcome};
+use ja_core::pipeline::{
+    CampaignPlan, InteractiveScenario, Pipeline, PipelineConfig, RunOutcome, ScenarioArtifacts,
+};
+use ja_core::report::Report;
 use ja_core::risk::incident_risk;
-use ja_kernelsim::deployment::DeploymentSpec;
+use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
 use ja_monitor::alerts::{Alert, AlertSource};
+use ja_monitor::detectors::scan_config;
+use ja_monitor::Monitor;
 use ja_netsim::time::{Duration, SimTime};
 use proptest::prelude::*;
 
@@ -88,13 +95,90 @@ fn incident_fingerprint(out: &RunOutcome) -> Vec<(AttackClass, SimTime, SimTime,
         .collect()
 }
 
+/// The batch oracle: what one run must produce, computed from public
+/// calls on a materialized capture. The campaigns are executed to a
+/// full trace, the trace, the auth log and the kernel events are each
+/// analyzed whole, configurations are scanned, and the alerts are
+/// sorted, grouped and scored the way the pipeline's tail does it. No
+/// intel loop: the property plans configure none.
+fn batch_oracle(cfg: &PipelineConfig, campaigns: &[(SimTime, Campaign)], seed: u64) -> RunOutcome {
+    let mut d = Deployment::build(&cfg.deployment);
+    // The pipeline salts the plan seed before it drives the stream.
+    let raw = execute(&mut d, campaigns, seed ^ 0xA0D17);
+    let mut mcfg = cfg.monitor.clone();
+    for (idx, srv) in d.servers.iter().enumerate() {
+        mcfg.server_ids.insert(srv.addr, srv.id);
+        if cfg.tls_inspection {
+            mcfg.inspect_secrets
+                .insert(srv.addr, srv.transport_secret.clone());
+        }
+        if d.is_decoy(idx) {
+            mcfg.audit_trace_hosts.insert(srv.addr);
+        }
+    }
+    let monitor = Monitor::new(mcfg);
+    let (mut alerts, monitor_stats) = monitor.analyze(&raw.trace);
+    alerts.extend(monitor.analyze_auth(&raw.auth_log));
+    let mut tracer = Tracer::new(cfg.tracer_capacity);
+    tracer.ingest_all(raw.sys_events.iter().cloned());
+    alerts.extend(AuditDetector::new().analyze(&tracer.collect()));
+    for (idx, srv) in d.servers.iter().enumerate() {
+        if !d.is_decoy(idx) {
+            alerts.extend(scan_config(srv.id, &srv.config).into_iter().map(|(_, a)| a));
+        }
+    }
+    alerts.sort_by_key(|a| a.time);
+    let board = score(
+        alerts
+            .iter()
+            .filter(|a| a.source != AlertSource::ConfigScan),
+        &raw.ground_truth,
+        &cfg.scoring,
+    );
+    RunOutcome {
+        scenario: ScenarioArtifacts {
+            ground_truth: raw.ground_truth,
+            end: raw.end,
+        },
+        monitor_stats,
+        audit_completeness: tracer.completeness(),
+        intel: None,
+        report: Report {
+            incidents: incidents(&alerts, cfg.merge_window),
+            alerts,
+            scoreboard: Some(board),
+        },
+    }
+}
+
+/// Everything a run must reproduce: alert sequence, incidents,
+/// scoreboard, ground truth, and the deterministic stats counters.
+fn outcome_fingerprint(out: &RunOutcome) -> impl PartialEq + std::fmt::Debug {
+    let truth: Vec<_> = out
+        .scenario
+        .ground_truth
+        .iter()
+        .map(|g| (g.name.clone(), g.start, g.end, g.servers.clone()))
+        .collect();
+    let s = &out.monitor_stats;
+    (
+        alert_fingerprint(out),
+        incident_fingerprint(out),
+        out.report.scoreboard.as_ref().map(|b| b.render()),
+        (truth, out.scenario.end),
+        [s.segments, s.flows, s.bytes, s.kernel_msgs],
+        out.audit_completeness.to_bits(),
+    )
+}
+
 proptest! {
-    /// The fused streaming pipeline is indistinguishable from the batch
-    /// pipeline across random plans and seeds: identical alert
-    /// sequences, incidents, scoreboards, ground truth, and stats
-    /// counters.
+    /// One pipeline run is indistinguishable from the batch oracle
+    /// across random plans and seeds at every producer × shard count:
+    /// producers in {1, 2, 4} (an inline stream, then parallel
+    /// server-disjoint producers) and shards in {1, 2, 3} (inline, then
+    /// the chunked fan-out to shard workers).
     #[test]
-    fn run_streamed_matches_run_for_random_plans(
+    fn run_matches_batch_oracle_over_producers_and_shards(
         seed in 0u64..4096,
         benign in 0usize..2,
         attack_mask in 0u8..64,
@@ -121,119 +205,17 @@ proptest! {
             stretch: 1.0,
             seed,
         };
-        let mut p1 = Pipeline::new(tiny_config(seed));
-        let batch = p1.run(&plan);
-        let mut p2 = Pipeline::new(tiny_config(seed));
-        let streamed = p2.run_streamed(&plan);
-        prop_assert_eq!(alert_fingerprint(&batch), alert_fingerprint(&streamed));
-        prop_assert_eq!(incident_fingerprint(&batch), incident_fingerprint(&streamed));
-        prop_assert_eq!(
-            batch.report.scoreboard.as_ref().unwrap().render(),
-            streamed.report.scoreboard.as_ref().unwrap().render()
-        );
-        prop_assert_eq!(
-            batch.scenario.ground_truth.len(),
-            streamed.scenario.ground_truth.len()
-        );
-        for (a, b) in batch
-            .scenario
-            .ground_truth
-            .iter()
-            .zip(&streamed.scenario.ground_truth)
-        {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-            prop_assert_eq!(&a.servers, &b.servers);
+        let campaigns = Pipeline::new(tiny_config(seed)).build_campaigns(&plan);
+        let want = outcome_fingerprint(&batch_oracle(&tiny_config(seed), &campaigns, seed));
+        for producers in [1usize, 2, 4] {
+            for shards in [1usize, 2, 3] {
+                let mut cfg = tiny_config(seed);
+                cfg.producers = Some(producers);
+                cfg.shards = Some(shards);
+                let got = outcome_fingerprint(&Pipeline::new(cfg).run(&plan));
+                prop_assert_eq!(&want, &got, "producers {} shards {}", producers, shards);
+            }
         }
-        prop_assert_eq!(batch.scenario.end, streamed.scenario.end);
-        prop_assert_eq!(batch.monitor_stats.segments, streamed.monitor_stats.segments);
-        prop_assert_eq!(batch.monitor_stats.flows, streamed.monitor_stats.flows);
-        prop_assert_eq!(batch.monitor_stats.bytes, streamed.monitor_stats.bytes);
-        prop_assert_eq!(batch.monitor_stats.kernel_msgs, streamed.monitor_stats.kernel_msgs);
-        prop_assert_eq!(batch.audit_completeness.to_bits(), streamed.audit_completeness.to_bits());
-        // The batch path retains raw streams; the streamed path never
-        // materialized them.
-        prop_assert!(batch.scenario.raw.is_some());
-        prop_assert!(streamed.scenario.raw.is_none());
-    }
-}
-
-proptest! {
-    /// The parallel-producer batched-fan-out path is indistinguishable
-    /// from both the fused sequential streaming path and the batch path
-    /// across random plans, seeds, shard counts and producer counts:
-    /// identical alert sequences, incidents, scoreboards, ground truth
-    /// and stats counters. This is the pin that lets the parallel path
-    /// replace the others wholesale.
-    #[test]
-    fn run_streamed_parallel_matches_streamed_and_batch(
-        seed in 0u64..4096,
-        benign in 0usize..2,
-        attack_mask in 0u8..64,
-        interactive_mask in 0u8..16,
-        shards in 1usize..5,
-        producers in 1usize..9,
-    ) {
-        let attacks: Vec<AttackClass> = AttackClass::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| attack_mask & (1 << i) != 0)
-            .map(|(_, &c)| c)
-            .collect();
-        let interactive: Vec<InteractiveScenario> = InteractiveScenario::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| interactive_mask & (1 << i) != 0)
-            .map(|(_, &k)| k)
-            .collect();
-        let plan = CampaignPlan {
-            benign_sessions_per_server: benign,
-            attacks,
-            interactive,
-            horizon_secs: 3600,
-            stretch: 1.0,
-            seed,
-        };
-        let mut par_cfg = tiny_config(seed);
-        par_cfg.shards = Some(shards);
-        par_cfg.producers = Some(producers);
-        let mut p1 = Pipeline::new(par_cfg);
-        let par = p1.run_streamed_parallel(&plan);
-        let mut p2 = Pipeline::new(tiny_config(seed));
-        let streamed = p2.run_streamed(&plan);
-        let mut p3 = Pipeline::new(tiny_config(seed));
-        let batch = p3.run(&plan);
-        prop_assert_eq!(alert_fingerprint(&streamed), alert_fingerprint(&par));
-        prop_assert_eq!(alert_fingerprint(&batch), alert_fingerprint(&par));
-        prop_assert_eq!(incident_fingerprint(&streamed), incident_fingerprint(&par));
-        prop_assert_eq!(
-            streamed.report.scoreboard.as_ref().unwrap().render(),
-            par.report.scoreboard.as_ref().unwrap().render()
-        );
-        prop_assert_eq!(
-            streamed.scenario.ground_truth.len(),
-            par.scenario.ground_truth.len()
-        );
-        for (a, b) in streamed
-            .scenario
-            .ground_truth
-            .iter()
-            .zip(&par.scenario.ground_truth)
-        {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-            prop_assert_eq!(&a.servers, &b.servers);
-        }
-        prop_assert_eq!(streamed.scenario.end, par.scenario.end);
-        prop_assert_eq!(streamed.monitor_stats.segments, par.monitor_stats.segments);
-        prop_assert_eq!(streamed.monitor_stats.flows, par.monitor_stats.flows);
-        prop_assert_eq!(streamed.monitor_stats.bytes, par.monitor_stats.bytes);
-        prop_assert_eq!(streamed.monitor_stats.kernel_msgs, par.monitor_stats.kernel_msgs);
-        prop_assert_eq!(streamed.audit_completeness.to_bits(), par.audit_completeness.to_bits());
-        // Parallel streaming never materializes the raw capture.
-        prop_assert!(par.scenario.raw.is_none());
     }
 
     /// Seed-splitting determinism: one plan seed fixes every
@@ -273,7 +255,7 @@ proptest! {
             cfg.shards = Some(2);
             cfg.producers = Some(producers);
             let mut p = Pipeline::new(cfg);
-            let out = p.run_streamed_parallel(&plan);
+            let out = p.run(&plan);
             (
                 alert_fingerprint(&out),
                 incident_fingerprint(&out),
@@ -294,10 +276,10 @@ proptest! {
 fn streamed_peak_memory_proxy_stays_bounded_while_capture_grows() {
     // Scale session count and horizon together so per-instant
     // concurrency is constant while the total capture grows. The
-    // streamed path's memory proxy — peak concurrently-live flows in
-    // the monitor — must stay roughly flat even as total segments and
-    // flows keep climbing; the batch monitor pass by construction
-    // retains every flow.
+    // pipeline's memory proxy — peak concurrently-live flows in the
+    // monitor — must stay roughly flat even as total segments and
+    // flows keep climbing; an offline pass over the whole capture by
+    // construction retains every flow.
     let run = |scale: u64| {
         let plan = CampaignPlan {
             benign_sessions_per_server: 2 * scale as usize,
@@ -308,7 +290,7 @@ fn streamed_peak_memory_proxy_stays_bounded_while_capture_grows() {
             seed: 5,
         };
         let mut p = Pipeline::new(tiny_config(9));
-        let out = p.run_streamed(&plan);
+        let out = p.run(&plan);
         (
             out.monitor_stats.segments,
             out.monitor_stats.flows,
@@ -360,9 +342,9 @@ proptest! {
         let mut cfg = tiny_config(seed);
         cfg.intel = Some(ja_core::intel::IntelConfig::default());
         let mut p1 = Pipeline::new(cfg);
-        let with_loop = p1.run_streamed(&plan);
+        let with_loop = p1.run(&plan);
         let mut p2 = Pipeline::new(tiny_config(seed));
-        let without = p2.run_streamed(&plan);
+        let without = p2.run(&plan);
         let intel = with_loop.intel.as_ref().unwrap();
         prop_assert_eq!(intel.captures, 0);
         prop_assert!(intel.published.is_empty());
@@ -404,7 +386,7 @@ proptest! {
             &ja_core::intel::WaveSpec::default(),
             &mut rng,
         );
-        let out = p.run_campaigns_streamed(vec![(SimTime::from_secs(30), wave.campaign)], seed);
+        let out = p.run_campaigns(vec![(SimTime::from_secs(30), wave.campaign)], seed);
         let intel = out.intel.as_ref().unwrap();
         // Map rule id -> availability.
         let avail: std::collections::HashMap<&str, SimTime> = intel
@@ -447,7 +429,7 @@ proptest! {
             &ja_core::intel::WaveSpec::default(),
             &mut rng2,
         );
-        let out2 = p2.run_campaigns_streamed(vec![(SimTime::from_secs(30), wave2.campaign)], seed);
+        let out2 = p2.run_campaigns(vec![(SimTime::from_secs(30), wave2.campaign)], seed);
         prop_assert_eq!(
             out2.report
                 .alerts
@@ -463,8 +445,8 @@ proptest! {
     /// traffic and hot-publishes rules mid-capture produces
     /// bit-identical alerts, incidents and published-rule sets whether
     /// the monitors match naively or via the generation-cached
-    /// automata — sequentially and across random shard/producer counts
-    /// on `run_campaigns_streamed_parallel`.
+    /// automata — with one producer and one shard and across random
+    /// shard/producer counts.
     #[test]
     fn live_intel_matcher_mode_is_invisible(
         seed in 0u64..2048,
@@ -497,12 +479,7 @@ proptest! {
                 &ja_core::intel::WaveSpec::default(),
                 &mut rng,
             );
-            let campaigns = vec![(SimTime::from_secs(30), wave.campaign)];
-            if par.is_some() {
-                p.run_campaigns_streamed_parallel(campaigns, seed)
-            } else {
-                p.run_campaigns_streamed(campaigns, seed)
-            }
+            p.run_campaigns(vec![(SimTime::from_secs(30), wave.campaign)], seed)
         };
         let naive_seq = run(MatchMode::Naive, None);
         let compiled_seq = run(MatchMode::Compiled, None);

@@ -317,4 +317,29 @@ mod tests {
         let a = analyze(&trace, None);
         assert_eq!(a.visibility, Visibility::Opaque);
     }
+
+    #[test]
+    fn deeply_nested_execute_content_does_not_overflow_a_shard_stack() {
+        use ja_jupyter_proto::messages::Header;
+        // Attacker-controlled content nested 100k arrays deep, parsed
+        // on a thread with the default 2 MiB stack shard workers get:
+        // the message still counts, its code is simply unreadable.
+        let header = Header::new(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
+        let wire = WireMessage::build(b"", vec![], &header, None, "[".repeat(100_000));
+        let msg = Message::Binary(wire.encode());
+        let (out, opaque) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let (mut out, mut opaque) = (Vec::new(), 0);
+                observe_ws_message(&msg, &mut out, &mut opaque);
+                (out, opaque)
+            })
+            .expect("spawn")
+            .join()
+            .expect("parse thread");
+        assert_eq!(opaque, 0);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].msg_type, Some(MsgType::ExecuteRequest));
+        assert_eq!(out[0].code, None);
+    }
 }

@@ -1,13 +1,13 @@
 //! The monitor engine: capture in, alerts out.
 //!
-//! All batch entry points are wrappers over the streaming core in
-//! [`crate::streaming`]: `analyze` pushes the capture through one
-//! [`StreamingMonitor`]; `analyze_sharded` partitions records across N
-//! per-shard streaming engines by flow id (rayon) — reassembly *and*
+//! Every entry point runs on the streaming core in [`crate::streaming`]:
+//! [`Monitor::analyze_stream`] analyzes a live feed on one engine or
+//! fans it out to per-shard engines by flow id — reassembly *and*
 //! per-flow analysis run shard-parallel with no global sort and no
 //! barrier between the stages — and merges their summaries for the
-//! cross-flow detectors; `analyze_parallel` is `analyze_sharded` at the
-//! rayon pool width (E5's "harness the supercomputer" configuration).
+//! cross-flow detectors (E5's "harness the supercomputer"
+//! configuration); `analyze` pushes a captured trace through one
+//! [`StreamingMonitor`].
 
 use crate::alerts::Alert;
 use crate::analyzers::{analyze_flow, FlowAnalysis};
@@ -21,9 +21,7 @@ use crate::streaming::{StreamingConfig, StreamingMonitor};
 use ja_kernelsim::hub::AuthEvent;
 use ja_netsim::addr::{FiveTuple, HostAddr};
 use ja_netsim::flow::FlowId;
-use ja_netsim::segment::SegmentRecord;
 use ja_netsim::trace::Trace;
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 /// Which analysis path the streaming engine runs for flows that
@@ -277,38 +275,6 @@ impl Monitor {
         sm.finish()
     }
 
-    /// Analyze a capture with flows partitioned by id across the rayon
-    /// pool (the "harness the supercomputer" configuration).
-    pub fn analyze_parallel(&self, trace: &Trace) -> (Vec<Alert>, MonitorStats) {
-        self.analyze_sharded(trace, rayon::current_num_threads())
-    }
-
-    /// Analyze a capture sharded across `shards` workers: records are
-    /// partitioned by flow id, each shard runs its own streaming engine
-    /// (reassembly + per-flow analysis, no cross-shard barrier until
-    /// the final merge), and the cross-flow detectors run once over the
-    /// merged flow summaries. Alert output is identical to
-    /// [`Monitor::analyze`] for every shard count.
-    pub fn analyze_sharded(&self, trace: &Trace, shards: usize) -> (Vec<Alert>, MonitorStats) {
-        let started = std::time::Instant::now();
-        let n = shards.max(1);
-        let mut buckets: Vec<Vec<&SegmentRecord>> = (0..n).map(|_| Vec::new()).collect();
-        for r in trace.records() {
-            buckets[shard_of(r.flow_id, n)].push(r);
-        }
-        let parts = buckets
-            .par_iter()
-            .map(|bucket| {
-                let mut sm = StreamingMonitor::new(self, StreamingConfig::batch());
-                for r in bucket {
-                    sm.push(r);
-                }
-                sm.into_summary()
-            })
-            .collect();
-        self.finish_summaries(parts, started)
-    }
-
     /// Analyze the hub auth log.
     pub fn analyze_auth(&self, events: &[AuthEvent]) -> Vec<Alert> {
         detectors::auth_log(events, &self.config.thresholds)
@@ -318,8 +284,8 @@ impl Monitor {
     }
 }
 
-/// Shard assignment for a flow id — shared by the batch sharded path and
-/// the streaming fan-out router so both balance identically. A
+/// Shard assignment for a flow id — shared by the streaming fan-out
+/// router and the service's shard-health accounting. A
 /// multiplicative hash rather than `flow_id % n`: campaign-scoped flow
 /// ids are `(campaign << 32) | counter`, so for power-of-two shard
 /// counts a plain modulo would land every campaign's first flow on
@@ -349,7 +315,11 @@ mod tests {
         let (trace, _) = exfil_scenario();
         let m = Monitor::default();
         let (a_seq, s_seq) = m.analyze(&trace);
-        let (a_par, s_par) = m.analyze_parallel(&trace);
+        let (a_par, s_par) = m.analyze_stream(4, StreamingConfig::batch(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
         assert_eq!(a_seq.len(), a_par.len());
         assert_eq!(s_seq.flows, s_par.flows);
         assert_eq!(s_seq.kernel_msgs, s_par.kernel_msgs);
@@ -371,7 +341,11 @@ mod tests {
         let key = |a: &Alert| (a.time, a.class, a.detail.clone(), a.host, a.server_id);
         let k1: Vec<_> = a_seq.iter().map(key).collect();
         for shards in [1, 2, 3, 7, 64] {
-            let (a_sh, s_sh) = m.analyze_sharded(&trace, shards);
+            let (a_sh, s_sh) = m.analyze_stream(shards, StreamingConfig::batch(), |sink| {
+                for r in trace.records() {
+                    sink.accept(r.clone());
+                }
+            });
             let k2: Vec<_> = a_sh.iter().map(key).collect();
             assert_eq!(k1, k2, "shards={shards}");
             assert_eq!(s_seq.flows, s_sh.flows, "shards={shards}");

@@ -16,12 +16,12 @@
 //!   transport allows — plaintext WS yields cell source code; TLS yields
 //!   only flow shapes; TLS-with-inspection yields framing but not E2E
 //!   message bodies.
-//! - **Scalability** (E5): every batch entry point is a wrapper over
-//!   the [`streaming`] core. [`streaming::StreamingMonitor`] consumes
-//!   records incrementally and evicts flows as they close, bounding
-//!   memory by *live* flows; [`engine::Monitor::analyze_sharded`]
-//!   partitions flows across rayon workers by flow id — the paper's
-//!   "harness the power of supercomputers" mitigation.
+//! - **Scalability** (E5): everything runs on the [`streaming`] core.
+//!   [`streaming::StreamingMonitor`] consumes records incrementally
+//!   and evicts flows as they close, bounding memory by *live* flows;
+//!   [`engine::Monitor::analyze_stream`] fans a live feed out to shard
+//!   workers by flow id — the paper's "harness the power of
+//!   supercomputers" mitigation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,4 +41,4 @@ pub use alerts::{Alert, AlertSource};
 pub use engine::{shard_of, Monitor, MonitorConfig, MonitorStats, ScanMode};
 pub use features::FlowFeatures;
 pub use matcher::{CompiledRuleSet, FeedCache, MatchMode, MatcherState, PatternMatcher};
-pub use streaming::{FanoutSpec, MonitorShardSnapshot, StreamingConfig, StreamingMonitor};
+pub use streaming::{MonitorShardSnapshot, StreamingConfig, StreamingMonitor};

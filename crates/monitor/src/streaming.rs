@@ -13,12 +13,11 @@
 //! sensor run online against unbounded traffic (the paper's E5
 //! "unsustainable overhead" lesson).
 //!
-//! The batch entry points ([`Monitor::analyze`],
-//! [`Monitor::analyze_parallel`], [`Monitor::analyze_sharded`]) are thin
-//! wrappers over this core: they push the whole capture through one or
-//! more streaming engines (one per flow-hash shard) and merge the
-//! results, so every path shares one implementation and produces one
-//! alert set.
+//! [`Monitor::analyze_stream`] drives one engine inline or fans a live
+//! feed out to one engine per flow-hash shard and merges the results;
+//! [`Monitor::analyze`] is a thin adapter that pushes a captured trace
+//! through one engine. Every entry point shares this implementation and
+//! produces one alert set.
 
 use crate::alerts::Alert;
 use crate::analyzers::Visibility;
@@ -61,7 +60,7 @@ impl StreamingConfig {
     /// Batch mode: never evict early. Every flow is retained until
     /// [`StreamingMonitor::finish`], which makes the result identical
     /// to offline analysis on arbitrarily reordered captures — this is
-    /// what the `Monitor::analyze*` wrappers use.
+    /// what [`Monitor::analyze`] uses.
     pub fn batch() -> Self {
         StreamingConfig {
             idle_timeout: None,
@@ -513,12 +512,16 @@ impl Monitor {
     /// as they are produced, and the monitor analyzes them as they
     /// arrive. With `shards == 1` the feed drives a single streaming
     /// engine inline; with more, records are routed by flow id over
-    /// bounded channels to one worker thread per shard (in chunked
-    /// batches — see [`FanoutSpec`]), so generation overlaps analysis
-    /// and the alert output is identical to [`Monitor::analyze`] on the
-    /// collected capture for every shard count (given an
-    /// equivalence-preserving `cfg` such as
+    /// bounded channels to one worker thread per shard, so generation
+    /// overlaps analysis and the alert output is identical to
+    /// [`Monitor::analyze`] on the collected capture for every shard
+    /// count (given an equivalence-preserving `cfg` such as
     /// [`StreamingConfig::close_evict`] on an in-order feed).
+    ///
+    /// Records are buffered per shard and shipped in chunks, so shard
+    /// workers pay one channel synchronization per chunk instead of per
+    /// record — the difference between fan-out overhead eating the
+    /// shard gains and not.
     pub fn analyze_stream<F>(
         &self,
         shards: usize,
@@ -528,32 +531,14 @@ impl Monitor {
     where
         F: FnOnce(&mut dyn SegmentSink),
     {
-        self.analyze_stream_batched(FanoutSpec::with_shards(shards), cfg, feed)
-    }
-
-    /// [`Monitor::analyze_stream`] with explicit fan-out geometry.
-    /// Records are buffered per shard and shipped `fanout.chunk` at a
-    /// time, so shard workers pay one channel synchronization per chunk
-    /// instead of per record — the difference between fan-out overhead
-    /// eating the shard gains and not.
-    pub fn analyze_stream_batched<F>(
-        &self,
-        fanout: FanoutSpec,
-        cfg: StreamingConfig,
-        feed: F,
-    ) -> (Vec<Alert>, MonitorStats)
-    where
-        F: FnOnce(&mut dyn SegmentSink),
-    {
         let started = std::time::Instant::now();
-        let n = fanout.shards.max(1);
+        let n = shards.max(1);
         if n == 1 {
             let mut engine = StreamingMonitor::new(self, cfg);
             feed(&mut engine);
             let summary = engine.into_summary();
             return self.finish_summaries(vec![summary], started);
         }
-        let chunk = fanout.chunk.max(1);
         std::thread::scope(|scope| {
             let mut senders = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
@@ -561,8 +546,7 @@ impl Monitor {
                 // Bounded channel of chunks: backpressure keeps
                 // in-flight records (and therefore memory) independent
                 // of capture size.
-                let (tx, rx) =
-                    std::sync::mpsc::sync_channel::<Vec<SegmentRecord>>(fanout.depth.max(1));
+                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<SegmentRecord>>(FANOUT_DEPTH);
                 senders.push(tx);
                 let monitor: &Monitor = self;
                 handles.push(scope.spawn(move || {
@@ -575,12 +559,8 @@ impl Monitor {
                     engine.into_summary()
                 }));
             }
-            let buffers = (0..n).map(|_| Vec::with_capacity(chunk)).collect();
-            let mut router = ShardRouter {
-                senders,
-                buffers,
-                chunk,
-            };
+            let buffers = (0..n).map(|_| Vec::with_capacity(FANOUT_CHUNK)).collect();
+            let mut router = ShardRouter { senders, buffers };
             feed(&mut router);
             router.flush_all(); // partial final chunks
             drop(router); // hang up so workers drain and exit
@@ -593,37 +573,19 @@ impl Monitor {
     }
 }
 
-/// Fan-out geometry for the sharded streaming path.
-#[derive(Clone, Copy, Debug)]
-pub struct FanoutSpec {
-    /// Shard worker count (clamped to ≥ 1; 1 runs inline, unsharded).
-    pub shards: usize,
-    /// Records per chunked channel send.
-    pub chunk: usize,
-    /// In-flight chunks allowed per shard before the router blocks.
-    pub depth: usize,
-}
+/// Records per chunked channel send on the sharded path.
+const FANOUT_CHUNK: usize = 128;
 
-impl FanoutSpec {
-    /// Default geometry for `shards` workers: 128-record chunks, 8 in
-    /// flight per shard (≈ the former per-record channel's 1024-record
-    /// backlog, at 1/128th the synchronization).
-    pub fn with_shards(shards: usize) -> Self {
-        FanoutSpec {
-            shards: shards.max(1),
-            chunk: 128,
-            depth: 8,
-        }
-    }
-}
+/// In-flight chunks allowed per shard before the router blocks
+/// (≈ a 1024-record backlog per shard).
+const FANOUT_DEPTH: usize = 8;
 
-/// Routes records to per-shard worker channels by flow-id hash (the
-/// same [`crate::engine::shard_of`] the batch sharded path uses),
-/// buffering `chunk` records per shard between sends.
+/// Routes records to per-shard worker channels by flow-id hash
+/// ([`crate::engine::shard_of`]), buffering [`FANOUT_CHUNK`] records
+/// per shard between sends.
 struct ShardRouter {
     senders: Vec<std::sync::mpsc::SyncSender<Vec<SegmentRecord>>>,
     buffers: Vec<Vec<SegmentRecord>>,
-    chunk: usize,
 }
 
 impl ShardRouter {
@@ -631,7 +593,7 @@ impl ShardRouter {
         if self.buffers[i].is_empty() {
             return;
         }
-        let batch = std::mem::replace(&mut self.buffers[i], Vec::with_capacity(self.chunk));
+        let batch = std::mem::replace(&mut self.buffers[i], Vec::with_capacity(FANOUT_CHUNK));
         self.senders[i]
             .send(batch)
             .expect("monitor shard worker disappeared");
@@ -650,7 +612,7 @@ impl SegmentSink for ShardRouter {
     fn accept(&mut self, rec: SegmentRecord) {
         let i = crate::engine::shard_of(rec.flow_id, self.senders.len());
         self.buffers[i].push(rec);
-        if self.buffers[i].len() >= self.chunk {
+        if self.buffers[i].len() >= FANOUT_CHUNK {
             self.flush(i);
         }
     }
@@ -948,16 +910,16 @@ mod tests {
 
     #[test]
     fn batched_fanout_flushes_partial_final_chunks() {
-        // Capture sizes straddling chunk boundaries: exactly one chunk,
-        // one record short, one record over. Whatever is left in a
-        // router buffer at stream end must be flushed, or tail flows
-        // silently vanish.
+        // Captures of a few shard chunks each: every shard ships full
+        // chunks and then a partial one. Whatever is left in a router
+        // buffer at stream end must be flushed, or tail flows silently
+        // vanish.
         use ja_netsim::addr::{HostAddr, HostId};
         use ja_netsim::network::Network;
         let m = Monitor::default();
-        for extra in [0usize, 6, 7, 8] {
+        for n_flows in [200u64, 223, 257, 301] {
             let mut net = Network::new();
-            for i in 0..(3 + extra as u64) {
+            for i in 0..n_flows {
                 let t = SimTime::from_secs(i);
                 let f = net.open(
                     t,
@@ -970,19 +932,14 @@ mod tests {
             }
             let trace = net.into_trace();
             let n_records = trace.records().len();
-            let fanout = FanoutSpec {
-                shards: 3,
-                chunk: 7,
-                depth: 2,
-            };
-            let (_, stats) =
-                m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
-                    for r in trace.records() {
-                        sink.accept(r.clone());
-                    }
-                });
-            assert_eq!(stats.segments as usize, n_records, "extra={extra}");
-            assert_eq!(stats.flows as usize, 3 + extra, "extra={extra}");
+            assert!(n_records > 3 * FANOUT_CHUNK, "{n_records} records");
+            let (_, stats) = m.analyze_stream(3, StreamingConfig::close_evict(), |sink| {
+                for r in trace.records() {
+                    sink.accept(r.clone());
+                }
+            });
+            assert_eq!(stats.segments as usize, n_records, "flows={n_flows}");
+            assert_eq!(stats.flows, n_flows, "flows={n_flows}");
         }
     }
 
@@ -991,13 +948,7 @@ mod tests {
         // A feed that never produces a record: workers must hang up
         // cleanly with nothing flushed and nothing analyzed.
         let m = Monitor::default();
-        let fanout = FanoutSpec {
-            shards: 4,
-            chunk: 128,
-            depth: 8,
-        };
-        let (alerts, stats) =
-            m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |_sink| {});
+        let (alerts, stats) = m.analyze_stream(4, StreamingConfig::close_evict(), |_sink| {});
         assert!(alerts.is_empty());
         assert_eq!(stats.segments, 0);
         assert_eq!(stats.flows, 0);
@@ -1005,10 +956,11 @@ mod tests {
 
     #[test]
     fn batched_fanout_single_flow_dominating_one_shard() {
-        // One elephant flow (thousands of records, all on one shard)
-        // among a few mice: the skewed shard must neither drop records
-        // nor deadlock against the bounded channel depth, and the alert
-        // set must match the batch path.
+        // One elephant flow (thousands of records, all on one shard,
+        // several times the channel backlog) among a few mice: the
+        // skewed shard must neither drop records nor deadlock against
+        // the bounded channel depth, and the alert set must match the
+        // batch path.
         use ja_netsim::addr::{HostAddr, HostId};
         use ja_netsim::network::Network;
         use ja_netsim::segment::Direction;
@@ -1021,8 +973,8 @@ mod tests {
             443,
         );
         let mut t = SimTime::from_millis(10);
-        for _ in 0..40 {
-            // 40 writes × 10 segments each = 4000+ records on one flow.
+        for _ in 0..240 {
+            // 240 writes × 10 segments each = 2400+ records on one flow.
             t = net.send(t, big, Direction::ToResponder, &[5u8; 1000]) + Duration::from_millis(50);
         }
         net.close(t + Duration::from_secs(1), big, false);
@@ -1039,56 +991,16 @@ mod tests {
         let trace = net.into_trace();
         let m = Monitor::default();
         let (batch, batch_stats) = m.analyze(&trace);
-        let fanout = FanoutSpec {
-            shards: 4,
-            chunk: 16,
-            depth: 2,
-        };
-        let (stream, stats) =
-            m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
-                for r in trace.records() {
-                    sink.accept(r.clone());
-                }
-            });
+        assert!(batch_stats.segments as usize > 2 * FANOUT_CHUNK * FANOUT_DEPTH);
+        let (stream, stats) = m.analyze_stream(4, StreamingConfig::close_evict(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
         assert_eq!(batch_stats.segments, stats.segments);
         assert_eq!(batch_stats.flows, stats.flows);
         assert_eq!(batch_stats.bytes, stats.bytes);
         assert_eq!(alert_keys(&batch), alert_keys(&stream));
-    }
-
-    #[test]
-    fn batched_fanout_matches_per_record_output_across_geometries() {
-        // Chunk size and depth are performance knobs, never correctness
-        // knobs: every geometry yields the batch alert set.
-        let trace = mixed_trace(47);
-        let m = Monitor::default();
-        let (batch, batch_stats) = m.analyze(&trace);
-        for (chunk, depth) in [(1usize, 1usize), (2, 1), (64, 2), (512, 8)] {
-            let fanout = FanoutSpec {
-                shards: 3,
-                chunk,
-                depth,
-            };
-            let (stream, stats) =
-                m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
-                    for r in trace.records() {
-                        sink.accept(r.clone());
-                    }
-                });
-            assert_eq!(
-                alert_keys(&batch),
-                alert_keys(&stream),
-                "chunk={chunk} depth={depth}"
-            );
-            assert_eq!(
-                batch_stats.flows, stats.flows,
-                "chunk={chunk} depth={depth}"
-            );
-            assert_eq!(
-                batch_stats.segments, stats.segments,
-                "chunk={chunk} depth={depth}"
-            );
-        }
     }
 
     #[test]

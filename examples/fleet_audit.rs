@@ -1,7 +1,7 @@
 //! Fleet audit: the multi-deployment regime an NCSA-scale operator
 //! actually runs — several independent JupyterHub deployments (labs,
 //! a campus hub), each with its own traffic and threat mix, audited in
-//! parallel by one SOC through [`FleetRunner`] and aggregated into a
+//! parallel by one SOC through `Pipeline::run_fleet` and aggregated into a
 //! single fleet report.
 //!
 //! ```sh
@@ -26,9 +26,9 @@ fn main() {
             PipelineConfig::small_lab(201),
             CampaignPlan::single(AttackClass::DataExfiltration),
         ),
-        // The campus hub streams: its capture is the big one, so it is
-        // analyzed in flight (sharded) without ever materializing it.
-        FleetJob::new("campus-hub", campus, CampaignPlan::full_mix(42)).with_streaming(),
+        // The campus hub's capture is the big one: it is analyzed in
+        // flight across its monitor shards.
+        FleetJob::new("campus-hub", campus, CampaignPlan::full_mix(42)),
     ];
 
     println!(

@@ -36,7 +36,7 @@ fn run(decoys: usize, propagation_secs: u64) -> (usize, usize, usize) {
     let mut rng = SimRng::new(11);
     let wave = build_wave(p.deployment(), &intel, &WaveSpec::default(), &mut rng);
     let start = SimTime::from_secs(60);
-    let out = p.run_campaigns_streamed(vec![(start, wave.campaign)], 7);
+    let out = p.run_campaigns(vec![(start, wave.campaign)], 7);
     let intel = out.intel.expect("intel loop configured");
     let victims = wave
         .production_visits
@@ -81,7 +81,7 @@ fn main() {
         wave.decoys_skipped
     );
     let start = SimTime::from_secs(60);
-    let out = p.run_campaigns_streamed(vec![(start, wave.campaign)], 7);
+    let out = p.run_campaigns(vec![(start, wave.campaign)], 7);
     let intel = out.intel.as_ref().expect("intel loop configured");
     println!("decoy captures:      {}", intel.captures);
     println!("first capture:       {:?}", intel.first_capture);

@@ -87,7 +87,7 @@ fn main() {
         stretch: 1.0,
         seed: 7,
     };
-    let outcome = pipeline.run_streamed(&plan);
+    let outcome = pipeline.run(&plan);
     println!("=== streamed pipeline with interactive sessions ===\n");
     for gt in outcome
         .scenario

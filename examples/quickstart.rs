@@ -19,16 +19,15 @@ fn main() {
     let outcome = pipeline.run(&plan);
 
     println!("=== jupyter-audit quickstart ===\n");
-    let trace = outcome
-        .scenario
-        .trace()
-        .expect("batch run retains the capture");
+    let truth = &outcome.scenario.ground_truth;
     println!(
-        "scenario: {} segments, {} flows, {} kernel-audit events, {} auth events\n",
-        trace.summary().segments,
-        trace.summary().flows,
-        outcome.scenario.sys_events().expect("batch").len(),
-        outcome.scenario.auth_log().expect("batch").len(),
+        "scenario: {} sessions over {:.1} h, {} of them attacks; monitor saw {} segments, {} flows, {} kernel messages\n",
+        truth.len(),
+        outcome.scenario.end.as_secs_f64() / 3600.0,
+        truth.iter().filter(|g| g.class.is_some()).count(),
+        outcome.monitor_stats.segments,
+        outcome.monitor_stats.flows,
+        outcome.monitor_stats.kernel_msgs,
     );
     println!("{}", outcome.report.render());
     println!(

@@ -4,7 +4,7 @@
 //! trace ever materialized — and triage the incident queue the way a
 //! security-operations analyst would: ranked by OSCRP risk, with
 //! per-plane attribution and per-class detection scores. A second run
-//! hunts a 48-hour low-and-slow "quiet APT" to show the streamed path
+//! hunts a 48-hour low-and-slow "quiet APT" to show bounded live state
 //! on sparse long captures.
 //!
 //! ```sh
@@ -18,13 +18,16 @@ use jupyter_audit::netsim::time::Duration;
 
 fn main() {
     let mut config = PipelineConfig::campus(2024);
-    // The "harness the supercomputer" path: segments are routed by flow
-    // id to per-shard streaming engines on worker threads while the
-    // scenario is still being generated.
-    config.parallel = true;
+    // The "harness the supercomputer" path: server-disjoint campaign
+    // groups are generated on parallel producer threads, and segments
+    // are routed by flow id to per-shard streaming engines on worker
+    // threads while the scenario is still being generated.
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    config.producers = Some(width);
+    config.shards = Some(width);
     let mut pipeline = Pipeline::new(config);
 
-    let outcome = pipeline.run_streamed(&CampaignPlan::full_mix(42));
+    let outcome = pipeline.run(&CampaignPlan::full_mix(42));
 
     println!("=== SOC monitoring: campus deployment, full attack mix (streamed) ===\n");
     println!(
@@ -68,11 +71,11 @@ fn main() {
     );
 
     // The quiet APT hunt: a sparse 48-hour capture with an 8x-stretched
-    // stealth attack mix. The streamed path's live state stays bounded
+    // stealth attack mix. The pipeline's live state stays bounded
     // by the handful of concurrently-active sessions even though the
     // capture spans two days.
     let mut hunter = Pipeline::new(PipelineConfig::small_lab(2024));
-    let quiet = hunter.run_streamed(&CampaignPlan::quiet_apt(2024));
+    let quiet = hunter.run(&CampaignPlan::quiet_apt(2024));
     println!("=== quiet-APT hunt: 48 h sparse capture, low-and-slow mix (streamed) ===\n");
     println!(
         "capture: {} segments over {:.1} h; {} flows total, peak {} live",

@@ -39,8 +39,12 @@
 //! use jupyter_audit::attackgen::AttackClass;
 //!
 //! // Build a small deployment, run a ransomware campaign against it, and
-//! // let the combined monitor+audit pipeline classify what it saw.
-//! let mut pipeline = Pipeline::new(PipelineConfig::small_lab(7));
+//! // let the combined monitor+audit pipeline classify what it saw. The
+//! // scenario is analyzed as it is generated, here on two monitor shard
+//! // workers; the output is the same at any producer or shard count.
+//! let mut config = PipelineConfig::small_lab(7);
+//! config.shards = Some(2);
+//! let mut pipeline = Pipeline::new(config);
 //! let plan = CampaignPlan::single(AttackClass::Ransomware);
 //! let outcome = pipeline.run(&plan);
 //! assert!(outcome.report.alerts_total() > 0);

@@ -1,10 +1,14 @@
 //! End-to-end integration: deployment → campaigns → monitor + audit +
 //! config scan → classification → scoring, across the public API.
 
+use jupyter_audit::attackgen::campaign::execute;
+use jupyter_audit::attackgen::exfiltration::{campaign, ExfilParams};
 use jupyter_audit::attackgen::AttackClass;
 use jupyter_audit::core::dataset::Dataset;
 use jupyter_audit::core::pipeline::{CampaignPlan, InteractiveScenario, Pipeline, PipelineConfig};
+use jupyter_audit::kernelsim::deployment::{Deployment, DeploymentSpec};
 use jupyter_audit::monitor::alerts::AlertSource;
+use jupyter_audit::netsim::time::SimTime;
 
 #[test]
 fn every_attack_class_is_detected_in_isolation_except_zeroday() {
@@ -102,7 +106,7 @@ fn interactive_escalation_is_detected_on_the_streamed_pipeline() {
         stretch: 1.0,
         seed: 106,
     };
-    let out = p.run_streamed(&plan);
+    let out = p.run(&plan);
     let gt = out
         .scenario
         .ground_truth
@@ -137,7 +141,7 @@ fn notebook_worm_compromises_fleet_and_is_detected() {
         stretch: 1.0,
         seed: 107,
     };
-    let out = p.run_streamed_parallel(&plan);
+    let out = p.run(&plan);
     let gt = out
         .scenario
         .ground_truth
@@ -168,14 +172,13 @@ fn notebook_worm_compromises_fleet_and_is_detected() {
 
 #[test]
 fn dataset_export_round_trips_from_pipeline_output() {
-    let mut p = Pipeline::new(PipelineConfig::small_lab(104));
-    let out = p.run(&CampaignPlan::single(AttackClass::DataExfiltration));
-    let raw = out
-        .scenario
-        .raw
-        .as_ref()
-        .expect("batch runs retain the raw scenario");
-    let ds = Dataset::from_scenario(raw, &out.scenario.ground_truth, b"integration-key");
+    // The dataset is built from the raw capture, which the scenario
+    // executor materializes.
+    let mut d = Deployment::build(&DeploymentSpec::small_lab(104));
+    let victim = d.owner_of(0).to_string();
+    let c = campaign(0, &victim, &ExfilParams::default());
+    let out = execute(&mut d, &[(SimTime::from_secs(300), c)], 104);
+    let ds = Dataset::from_scenario(&out, &out.ground_truth, b"integration-key");
     let back = Dataset::from_json(&ds.to_json()).expect("parses");
     assert_eq!(back.flows.len(), ds.flows.len());
     assert!(ds
@@ -187,7 +190,8 @@ fn dataset_export_round_trips_from_pipeline_output() {
 #[test]
 fn campus_scale_run_completes_with_stats() {
     let mut cfg = PipelineConfig::campus(105);
-    cfg.parallel = true;
+    cfg.producers = Some(2);
+    cfg.shards = Some(2);
     let mut p = Pipeline::new(cfg);
     let out = p.run(&CampaignPlan::full_mix(105));
     assert!(out.monitor_stats.flows > 10);

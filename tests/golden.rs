@@ -23,11 +23,11 @@ use jupyter_audit::monitor::alerts::AlertSource;
 use jupyter_audit::netsim::rng::SimRng;
 use jupyter_audit::netsim::time::{Duration, SimTime};
 
-/// `(alert-stream digest, scoreboard digest)` of one report.
-fn digests(report: &Report) -> (String, String) {
-    let mut alerts = String::new();
+/// Assert the alert-stream and scoreboard digests of one report.
+fn check(case: &str, report: &Report, alerts: &str, board: &str) {
+    let mut alert_rows = String::new();
     for a in &report.alerts {
-        alerts.push_str(&format!(
+        alert_rows.push_str(&format!(
             "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:016x}\n",
             a.time.0,
             a.class,
@@ -39,10 +39,10 @@ fn digests(report: &Report) -> (String, String) {
             a.confidence.to_bits()
         ));
     }
-    let mut board = String::new();
     let scoreboard = report.scoreboard.as_ref().expect("run is scored");
+    let mut board_rows = String::new();
     for (class, s) in &scoreboard.classes {
-        board.push_str(&format!(
+        board_rows.push_str(&format!(
             "{:?}|{}|{}|{}|{:016x}\n",
             class,
             s.campaigns,
@@ -51,18 +51,14 @@ fn digests(report: &Report) -> (String, String) {
             s.mean_latency_secs.to_bits()
         ));
     }
-    (sha256_hex(alerts.as_bytes()), sha256_hex(board.as_bytes()))
-}
-
-fn check(case: &str, report: &Report, alerts: &str, board: &str) {
-    let (got_alerts, got_board) = digests(report);
-    let scores = report.scoreboard.as_ref().map(|b| b.render());
+    let got_alerts = sha256_hex(alert_rows.as_bytes());
+    let got_board = sha256_hex(board_rows.as_bytes());
     assert_eq!(
         (got_alerts.as_str(), got_board.as_str()),
         (alerts, board),
         "{case}: detection output changed ({} alerts)\n{}",
         report.alerts.len(),
-        scores.unwrap_or_default()
+        scoreboard.render()
     );
 }
 
@@ -110,7 +106,7 @@ fn golden_wave_lab_parallel() {
     cfg.shards = Some(3);
     let mut p = Pipeline::new(cfg);
     let campaigns = wave_lab_campaigns(&p, &intel);
-    let out = p.run_campaigns_streamed_parallel(campaigns, 91);
+    let out = p.run_campaigns(campaigns, 91);
     assert!(
         out.report.alerts_from(AlertSource::HoneypotIntel) > 0,
         "the wave never closed the intel loop"
