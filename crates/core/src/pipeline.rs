@@ -985,7 +985,6 @@ mod tests {
     #[test]
     fn streamed_wave_closes_the_intel_loop() {
         use crate::intel::{build_wave, IntelConfig, WaveSpec};
-        use ja_monitor::alerts::AlertSource;
         // A lab with two perfect decoys, a naive mass wave, and a short
         // propagation delay: decoys capture the payload mid-stream, the
         // signature hot-reloads into the running monitor, and later
@@ -1038,7 +1037,6 @@ mod tests {
     #[test]
     fn intel_loop_inert_without_decoys() {
         use crate::intel::IntelConfig;
-        use ja_monitor::alerts::AlertSource;
         // Intel configured but zero decoys: nothing captured, nothing
         // published, output identical to the unconfigured pipeline.
         let mut cfg = PipelineConfig::small_lab(47);
@@ -1061,7 +1059,6 @@ mod tests {
         // Same plan, same seed, decoys added: benign/attack campaigns
         // still land on production servers only, and the exposed decoy
         // configs are not reported as hygiene findings.
-        use ja_monitor::alerts::AlertSource;
         // Misconfiguration matters most here: its scan-and-exploit
         // campaign reads server configs, and decoys are deliberately
         // exploitable — it must still skip them.

@@ -273,6 +273,17 @@ proptest! {
 }
 
 #[test]
+fn quiet_apt_matches_batch_oracle() {
+    // The long-horizon regime: a sparse 48-hour capture in which the
+    // pipeline evicts most flows long before the scenario ends.
+    let plan = CampaignPlan::quiet_apt(77);
+    let cfg = PipelineConfig::small_lab(77);
+    let campaigns = Pipeline::new(cfg.clone()).build_campaigns(&plan);
+    let want = outcome_fingerprint(&batch_oracle(&cfg, &campaigns, plan.seed));
+    assert_eq!(want, outcome_fingerprint(&Pipeline::new(cfg).run(&plan)));
+}
+
+#[test]
 fn streamed_peak_memory_proxy_stays_bounded_while_capture_grows() {
     // Scale session count and horizon together so per-instant
     // concurrency is constant while the total capture grows. The

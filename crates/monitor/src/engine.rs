@@ -311,27 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let (trace, _) = exfil_scenario();
-        let m = Monitor::default();
-        let (a_seq, s_seq) = m.analyze(&trace);
-        let (a_par, s_par) = m.analyze_stream(4, StreamingConfig::batch(), |sink| {
-            for r in trace.records() {
-                sink.accept(r.clone());
-            }
-        });
-        assert_eq!(a_seq.len(), a_par.len());
-        assert_eq!(s_seq.flows, s_par.flows);
-        assert_eq!(s_seq.kernel_msgs, s_par.kernel_msgs);
-        let key = |a: &Alert| (a.time, a.class, a.detail.clone());
-        let mut k1: Vec<_> = a_seq.iter().map(key).collect();
-        let mut k2: Vec<_> = a_par.iter().map(key).collect();
-        k1.sort();
-        k2.sort();
-        assert_eq!(k1, k2);
-    }
-
-    #[test]
     fn sharded_agrees_for_any_shard_count() {
         let (trace, _) = exfil_scenario();
         let m = Monitor::default();
@@ -340,7 +319,7 @@ mod tests {
         // *identical*, not merely set-equal.
         let key = |a: &Alert| (a.time, a.class, a.detail.clone(), a.host, a.server_id);
         let k1: Vec<_> = a_seq.iter().map(key).collect();
-        for shards in [1, 2, 3, 7, 64] {
+        for shards in [1, 2, 3, 4, 7, 64] {
             let (a_sh, s_sh) = m.analyze_stream(shards, StreamingConfig::batch(), |sink| {
                 for r in trace.records() {
                     sink.accept(r.clone());
