@@ -171,51 +171,64 @@ fn outcome_fingerprint(out: &RunOutcome) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-proptest! {
-    /// One pipeline run is indistinguishable from the batch oracle
-    /// across random plans and seeds at every producer × shard count:
-    /// producers in {1, 2, 4} (an inline stream, then parallel
-    /// server-disjoint producers) and shards in {1, 2, 3} (inline, then
-    /// the chunked fan-out to shard workers).
-    #[test]
-    fn run_matches_batch_oracle_over_producers_and_shards(
-        seed in 0u64..4096,
-        benign in 0usize..2,
-        attack_mask in 0u8..64,
-        interactive_mask in 0u8..16,
-        horizon_halves in 1u64..4,
-    ) {
-        let attacks: Vec<AttackClass> = AttackClass::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| attack_mask & (1 << i) != 0)
-            .map(|(_, &c)| c)
-            .collect();
-        let interactive: Vec<InteractiveScenario> = InteractiveScenario::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| interactive_mask & (1 << i) != 0)
-            .map(|(_, &k)| k)
-            .collect();
-        let plan = CampaignPlan {
+/// A random plan for the equivalence properties: any subset of attack
+/// classes and interactive scenarios over a short, varying horizon.
+fn arb_plan() -> impl Strategy<Value = CampaignPlan> {
+    (0u64..4096, 0usize..2, 0u8..64, 0u8..16, 1u64..4).prop_map(
+        |(seed, benign, attack_mask, interactive_mask, horizon_halves)| CampaignPlan {
             benign_sessions_per_server: benign,
-            attacks,
-            interactive,
+            attacks: AttackClass::ALL
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| attack_mask & (1 << i) != 0)
+                .map(|(_, &c)| c)
+                .collect(),
+            interactive: InteractiveScenario::ALL
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| interactive_mask & (1 << i) != 0)
+                .map(|(_, &k)| k)
+                .collect(),
             horizon_secs: horizon_halves * 1800,
             stretch: 1.0,
             seed,
-        };
-        let campaigns = Pipeline::new(tiny_config(seed)).build_campaigns(&plan);
-        let want = outcome_fingerprint(&batch_oracle(&tiny_config(seed), &campaigns, seed));
-        for producers in [1usize, 2, 4] {
-            for shards in [1usize, 2, 3] {
-                let mut cfg = tiny_config(seed);
-                cfg.producers = Some(producers);
-                cfg.shards = Some(shards);
-                let got = outcome_fingerprint(&Pipeline::new(cfg).run(&plan));
-                prop_assert_eq!(&want, &got, "producers {} shards {}", producers, shards);
-            }
+        },
+    )
+}
+
+/// One pipeline run of `plan` at each of `producers` × shards in
+/// {1, 2, 3} is indistinguishable from the batch oracle.
+fn assert_runs_match_batch_oracle(plan: &CampaignPlan, producers: &[usize]) {
+    let seed = plan.seed;
+    let campaigns = Pipeline::new(tiny_config(seed)).build_campaigns(plan);
+    let want = outcome_fingerprint(&batch_oracle(&tiny_config(seed), &campaigns, seed));
+    for &producers in producers {
+        for shards in [1usize, 2, 3] {
+            let mut cfg = tiny_config(seed);
+            cfg.producers = Some(producers);
+            cfg.shards = Some(shards);
+            let got = outcome_fingerprint(&Pipeline::new(cfg).run(plan));
+            prop_assert_eq!(&want, &got, "producers {} shards {}", producers, shards);
         }
+    }
+}
+
+proptest! {
+    /// A run driven by one inline stream (producers = 1) is
+    /// indistinguishable from the batch oracle across random plans and
+    /// seeds, with the monitor inline or fanned out to 2 or 3 shards.
+    #[test]
+    fn run_streamed_matches_run_for_random_plans(plan in arb_plan()) {
+        assert_runs_match_batch_oracle(&plan, &[1]);
+    }
+
+    /// A run driven by parallel server-disjoint producers (2 or 4) is
+    /// indistinguishable from the batch oracle across random plans and
+    /// seeds at 1, 2 and 3 shards. With the property above, this covers
+    /// producers {1, 2, 4} × shards {1, 2, 3} against one oracle.
+    #[test]
+    fn run_streamed_parallel_matches_streamed_and_batch(plan in arb_plan()) {
+        assert_runs_match_batch_oracle(&plan, &[2, 4]);
     }
 
     /// Seed-splitting determinism: one plan seed fixes every

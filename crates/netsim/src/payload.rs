@@ -36,35 +36,61 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+#[cfg(not(test))]
 static COPIED_BYTES: AtomicU64 = AtomicU64::new(0);
+#[cfg(not(test))]
 static CAPTURED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Run `f` on the (copied, captured) counter pair.
+#[cfg(not(test))]
+fn counters<R>(f: impl FnOnce(&AtomicU64, &AtomicU64) -> R) -> R {
+    f(&COPIED_BYTES, &CAPTURED_BYTES)
+}
+
+// This crate's unit tests run concurrently in one process, and most of
+// them build payloads; each test thread keeps its own pair there so a
+// test that checks exact counts sees only its own copies. Every other
+// build, this crate's dependents' tests included, has one process-wide
+// pair.
+#[cfg(test)]
+thread_local! {
+    static COPIED_BYTES: AtomicU64 = const { AtomicU64::new(0) };
+    static CAPTURED_BYTES: AtomicU64 = const { AtomicU64::new(0) };
+}
+
+#[cfg(test)]
+fn counters<R>(f: impl FnOnce(&AtomicU64, &AtomicU64) -> R) -> R {
+    COPIED_BYTES.with(|copied| CAPTURED_BYTES.with(|captured| f(copied, captured)))
+}
 
 /// Record `n` payload bytes copied into a fresh allocation somewhere in
 /// the capture→reassembly→scan plane.
 pub fn count_copied(n: u64) {
-    COPIED_BYTES.fetch_add(n, Ordering::Relaxed);
+    counters(|copied, _| copied.fetch_add(n, Ordering::Relaxed));
 }
 
 /// Record `n` payload bytes captured at a tap.
 pub fn count_captured(n: u64) {
-    CAPTURED_BYTES.fetch_add(n, Ordering::Relaxed);
+    counters(|_, captured| captured.fetch_add(n, Ordering::Relaxed));
 }
 
 /// Total payload bytes copied since the last [`reset_copy_metrics`].
 pub fn copied_bytes() -> u64 {
-    COPIED_BYTES.load(Ordering::Relaxed)
+    counters(|copied, _| copied.load(Ordering::Relaxed))
 }
 
 /// Total payload bytes captured since the last [`reset_copy_metrics`].
 pub fn captured_bytes() -> u64 {
-    CAPTURED_BYTES.load(Ordering::Relaxed)
+    counters(|_, captured| captured.load(Ordering::Relaxed))
 }
 
 /// Zero both copy-plane counters (bench harnesses call this between
 /// measured phases).
 pub fn reset_copy_metrics() {
-    COPIED_BYTES.store(0, Ordering::Relaxed);
-    CAPTURED_BYTES.store(0, Ordering::Relaxed);
+    counters(|copied, captured| {
+        copied.store(0, Ordering::Relaxed);
+        captured.store(0, Ordering::Relaxed);
+    });
 }
 
 fn empty_backing() -> Arc<[u8]> {
