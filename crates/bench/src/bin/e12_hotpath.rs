@@ -15,6 +15,15 @@
 //!   ([`PayloadBytes`] refcount bumps) and [`ScanMode::Incremental`]
 //!   scans in-order bytes as they arrive, dropping them immediately.
 //!
+//! An **inspected** section runs the same workload on
+//! `TransportMode::Tls` with the sensor granted the server's secret,
+//! so every flow must be decrypted to be read. Both engines share the
+//! records here; the eager engine retains each flow, fails the
+//! plaintext parse, copies and decrypts both directions at eviction,
+//! while the incremental one decides from the first upstream bytes and
+//! decrypts each chunk into a reused buffer as it arrives. Decrypt
+//! copies are counted in the payload plane's copy accounting.
+//!
 //! Alert **bit-identity is asserted before any timing**: the comparison
 //! is only meaningful because both engines produce the same alert
 //! stream in the same order. Reported per phase: bytes copied per byte
@@ -23,8 +32,10 @@
 //! global allocator), peak retained flow bytes, and end-to-end MB/s.
 //!
 //! `--tiny` shrinks the workload for CI smoke (CI asserts
-//! `incremental.copies_per_byte < 1.5` and that incremental
-//! allocations/segment stay below the eager baseline). `--json` writes
+//! `incremental.copies_per_byte < 1.5`, that incremental
+//! allocations/segment stay below the eager baseline, and that the
+//! inspected section is alert-identical with incremental peak
+//! retention below eager). `--json` writes
 //! `BENCH_E12.json`. The full run asserts the headline claims: ≥30%
 //! fewer bytes copied per byte captured and ≥1.3× streamed throughput.
 
@@ -97,6 +108,20 @@ struct BenchReport {
     copy_reduction: f64,
     throughput_ratio: Option<f64>,
     retained_ratio: f64,
+    inspected: InspectedReport,
+}
+
+/// The inspected (TLS with the secret granted) section.
+#[derive(serde::Serialize)]
+struct InspectedReport {
+    segments: usize,
+    payload_bytes: u64,
+    identical_alerts: bool,
+    alerts: usize,
+    eager: PhaseRow,
+    incremental: PhaseRow,
+    throughput_ratio: Option<f64>,
+    retained_ratio: f64,
 }
 
 /// One engine configuration's measured numbers.
@@ -118,21 +143,23 @@ fn finite(x: f64) -> Option<f64> {
     x.is_finite().then_some(x)
 }
 
-/// Long-flow plaintext-WS workload: each session is one WebSocket flow
+/// Long-flow workload over `transport`: each session is one WebSocket flow
 /// carrying `cells` large cells (~`code_kb` KiB of source each, plus a
 /// comparable stdout blob coming back), so a single flow's stream
 /// length dwarfs the reorder window the jitter perturbation creates.
 /// Every cell carries the hostile token the published intel rule
 /// matches, and the upgrade URL carries a token for the URL-plane rule.
+/// Returns the records with the server's address and transport secret.
 fn long_flow_records(
     sessions: usize,
     cells: usize,
     code_kb: usize,
     seed: u64,
-) -> Vec<SegmentRecord> {
+    transport: TransportMode,
+) -> (Vec<SegmentRecord>, HostAddr, Vec<u8>) {
     let mut net = Network::new();
     let mut scfg = ServerConfig::hardened();
-    scfg.transport = TransportMode::PlainWs;
+    scfg.transport = transport;
     scfg.token_in_url = true;
     let mut srv = NotebookServer::new(1, scfg, seed);
     srv.provision_user("miner", SimTime::ZERO);
@@ -161,9 +188,11 @@ fn long_flow_records(
         conn.close(&mut net, t + Duration::from_secs(1));
     }
     let mut rng = SimRng::new(seed ^ 0xe12);
-    net.into_trace()
+    let records = net
+        .into_trace()
         .perturb(&mut rng, 0.0, Duration::from_millis(5))
-        .into_records()
+        .into_records();
+    (records, srv.addr, srv.transport_secret.clone())
 }
 
 /// The signatures the honeypot-intel loop would publish: one code-plane
@@ -201,11 +230,20 @@ struct PhaseOut {
 /// per-hop cost: every record handed to the monitor owns a fresh copy
 /// of its payload, exactly what `Vec<u8>`-owning records forced on
 /// every channel hop before the payload plane was refcounted.
-fn run_phase(records: &[SegmentRecord], scan_mode: ScanMode, rematerialize: bool) -> PhaseOut {
-    let cfg = MonitorConfig {
+/// `inspect` grants the sensor a server's transport secret.
+fn run_phase(
+    records: &[SegmentRecord],
+    scan_mode: ScanMode,
+    rematerialize: bool,
+    inspect: Option<(HostAddr, &[u8])>,
+) -> PhaseOut {
+    let mut cfg = MonitorConfig {
         scan_mode,
         ..Default::default()
     };
+    if let Some((addr, secret)) = inspect {
+        cfg = cfg.with_inspection(addr, secret.to_vec());
+    }
     let m = Monitor::new(cfg);
     for rule in hot_rules() {
         m.config.intel.publish(SimTime::ZERO, rule);
@@ -276,25 +314,33 @@ fn phase_row(p: &PhaseOut, payload_bytes: u64, segments: usize, wall: f64) -> Ph
     }
 }
 
-fn main() {
-    let seed = ja_bench::seed_from_args();
-    let tiny = ja_bench::flag_from_args("--tiny");
-    let json = ja_bench::flag_from_args("--json");
-    let (sessions, cells, code_kb, reps) = if tiny { (3, 2, 8, 2) } else { (8, 6, 160, 3) };
-    println!("=== E12: capture-plane hot path ({sessions} long flows, seed {seed}) ===\n");
+/// Both engines on one workload: alert identity checked first, then
+/// best-of-`reps` wall clock per engine.
+struct Comparison {
+    identical: bool,
+    alerts: usize,
+    eager: PhaseRow,
+    incremental: PhaseRow,
+    eager_wall: f64,
+    incr_wall: f64,
+}
 
-    let records = long_flow_records(sessions, cells, code_kb, seed);
-    let payload_bytes: u64 = records.iter().map(|r| r.payload.len() as u64).sum();
-    println!(
-        "workload: {} segments, {:.1} MB payload across {sessions} flows",
-        records.len(),
-        payload_bytes as f64 / 1e6
-    );
-
+/// Run the eager and incremental engines over `records` and compare
+/// them. `eager_rematerialize` gives the eager engine the pre-change
+/// per-hop payload copies.
+fn compare(
+    records: &[SegmentRecord],
+    payload_bytes: u64,
+    inspect: Option<(HostAddr, &[u8])>,
+    eager_rematerialize: bool,
+    reps: usize,
+) -> Comparison {
     // Bit-identity gate: the perf comparison below is meaningless unless
     // both engines agree byte-for-byte on the alert stream first.
-    let eager0 = run_phase(&records, ScanMode::Eager, true);
-    let incr0 = run_phase(&records, ScanMode::Incremental, false);
+    let eager_run = || run_phase(records, ScanMode::Eager, eager_rematerialize, inspect);
+    let incr_run = || run_phase(records, ScanMode::Incremental, false, inspect);
+    let eager0 = eager_run();
+    let incr0 = incr_run();
     let identical = fingerprint(&eager0.alerts) == fingerprint(&incr0.alerts)
         && eager0.stats.flows == incr0.stats.flows
         && eager0.stats.kernel_msgs == incr0.stats.kernel_msgs;
@@ -317,26 +363,34 @@ fn main() {
 
     // Timed phases: best-of-n wall clock; copy/alloc counters are
     // deterministic per run and read from the final repetition.
-    let mut eager = eager0;
-    let mut eager_wall = eager.wall;
-    for _ in 1..reps {
-        eager = run_phase(&records, ScanMode::Eager, true);
-        eager_wall = eager_wall.min(eager.wall);
+    let best_of = |first: PhaseOut, run: &dyn Fn() -> PhaseOut| {
+        let mut wall = first.wall;
+        let mut last = first;
+        for _ in 1..reps {
+            last = run();
+            wall = wall.min(last.wall);
+        }
+        (last, wall)
+    };
+    let alerts = eager0.alerts.len();
+    let (eager, eager_wall) = best_of(eager0, &eager_run);
+    let (incr, incr_wall) = best_of(incr0, &incr_run);
+    Comparison {
+        identical,
+        alerts,
+        eager: phase_row(&eager, payload_bytes, records.len(), eager_wall),
+        incremental: phase_row(&incr, payload_bytes, records.len(), incr_wall),
+        eager_wall,
+        incr_wall,
     }
-    let mut incr = incr0;
-    let mut incr_wall = incr.wall;
-    for _ in 1..reps {
-        incr = run_phase(&records, ScanMode::Incremental, false);
-        incr_wall = incr_wall.min(incr.wall);
-    }
+}
 
-    let erow = phase_row(&eager, payload_bytes, records.len(), eager_wall);
-    let irow = phase_row(&incr, payload_bytes, records.len(), incr_wall);
+fn print_rows(rows: [(&str, &PhaseRow); 2]) {
     println!(
         "{:<13} {:>11} {:>10} {:>12} {:>13} {:>12}",
         "engine", "copies/byte", "allocs/seg", "peak-retain", "wall (s)", "MB/s"
     );
-    for (name, row) in [("eager", &erow), ("incremental", &irow)] {
+    for (name, row) in rows {
         println!(
             "{:<13} {:>11.3} {:>10.2} {:>12} {:>13.3} {:>12.1}",
             name,
@@ -347,9 +401,29 @@ fn main() {
             row.mb_per_sec.unwrap_or(f64::NAN),
         );
     }
+}
+
+fn main() {
+    let seed = ja_bench::seed_from_args();
+    let tiny = ja_bench::flag_from_args("--tiny");
+    let json = ja_bench::flag_from_args("--json");
+    let (sessions, cells, code_kb, reps) = if tiny { (3, 2, 8, 2) } else { (8, 6, 160, 3) };
+    println!("=== E12: capture-plane hot path ({sessions} long flows, seed {seed}) ===\n");
+
+    let (records, _, _) = long_flow_records(sessions, cells, code_kb, seed, TransportMode::PlainWs);
+    let payload_bytes: u64 = records.iter().map(|r| r.payload.len() as u64).sum();
+    println!(
+        "workload: {} segments, {:.1} MB payload across {sessions} flows",
+        records.len(),
+        payload_bytes as f64 / 1e6
+    );
+
+    let plain = compare(&records, payload_bytes, None, true, reps);
+    let (erow, irow) = (&plain.eager, &plain.incremental);
+    print_rows([("eager", erow), ("incremental", irow)]);
 
     let copy_reduction = 1.0 - irow.copies_per_byte / erow.copies_per_byte;
-    let throughput_ratio = eager_wall / incr_wall;
+    let throughput_ratio = plain.eager_wall / plain.incr_wall;
     let retained_ratio = irow.peak_retained_bytes as f64 / erow.peak_retained_bytes as f64;
     println!(
         "\nbytes copied per byte captured: {:.3} -> {:.3} ({:.0}% fewer)",
@@ -393,6 +467,34 @@ fn main() {
         );
     }
 
+    println!("\n--- inspected: the same workload on TLS, secret granted ---\n");
+    let (tls_records, server, secret) =
+        long_flow_records(sessions, cells, code_kb, seed, TransportMode::Tls);
+    let tls_bytes: u64 = tls_records.iter().map(|r| r.payload.len() as u64).sum();
+    let inspected = compare(
+        &tls_records,
+        tls_bytes,
+        Some((server, secret.as_slice())),
+        false,
+        reps,
+    );
+    let (ierow, iirow) = (&inspected.eager, &inspected.incremental);
+    print_rows([("eager", ierow), ("incremental", iirow)]);
+    let inspected_ratio = inspected.eager_wall / inspected.incr_wall;
+    let inspected_retained = iirow.peak_retained_bytes as f64 / ierow.peak_retained_bytes as f64;
+    println!(
+        "\ninspected throughput: {:.1} -> {:.1} MB/s ({inspected_ratio:.2}x); peak retained {} -> {} ({:.1}% of eager)",
+        ierow.mb_per_sec.unwrap_or(f64::NAN),
+        iirow.mb_per_sec.unwrap_or(f64::NAN),
+        ierow.peak_retained_bytes,
+        iirow.peak_retained_bytes,
+        inspected_retained * 100.0
+    );
+    assert!(
+        iirow.peak_retained_bytes < ierow.peak_retained_bytes,
+        "inspected incremental retention not below eager"
+    );
+
     if json {
         let report = BenchReport {
             seed,
@@ -401,13 +503,23 @@ fn main() {
             cells_per_session: cells,
             segments: records.len(),
             payload_bytes,
-            identical_alerts: identical,
-            alerts: eager.alerts.len(),
-            eager: erow,
-            incremental: irow,
+            identical_alerts: plain.identical,
+            alerts: plain.alerts,
             copy_reduction,
             throughput_ratio: finite(throughput_ratio),
             retained_ratio,
+            eager: plain.eager,
+            incremental: plain.incremental,
+            inspected: InspectedReport {
+                segments: tls_records.len(),
+                payload_bytes: tls_bytes,
+                identical_alerts: inspected.identical,
+                alerts: inspected.alerts,
+                eager: inspected.eager,
+                incremental: inspected.incremental,
+                throughput_ratio: finite(inspected_ratio),
+                retained_ratio: inspected_retained,
+            },
         };
         let out = serde_json::to_string_pretty(&report).expect("report serializes");
         std::fs::write("BENCH_E12.json", &out).expect("write BENCH_E12.json");

@@ -13,6 +13,7 @@ use ja_jupyter_proto::messages::MsgType;
 use ja_jupyter_proto::wire::WireMessage;
 use ja_kernelsim::server::transport_seed;
 use ja_netsim::flow::FlowId;
+use ja_netsim::payload;
 use ja_netsim::segment::Direction;
 use ja_websocket::codec::{FrameDecoder, Message, MessageAssembler};
 use ja_websocket::handshake::UpgradeRequest;
@@ -68,6 +69,7 @@ pub fn analyze_flow(flow_id: FlowId, buf: &FlowBuf, inspect_secret: Option<&[u8]
     let mut parsed = attempt(up_raw, down_raw);
     if parsed.is_none() {
         if let Some(secret) = inspect_secret {
+            payload::count_copied((up_raw.len() + down_raw.len()) as u64);
             let mut up = up_raw.clone();
             ChaCha20::from_seed(&transport_seed(secret, flow_id, Direction::ToResponder))
                 .apply(&mut up);

@@ -25,9 +25,10 @@ use ja_netsim::trace::Trace;
 use std::collections::{HashMap, HashSet};
 
 /// Which analysis path the streaming engine runs for flows that
-/// qualify for single-pass scanning (see the private `scan` module for
-/// the qualification rules — TLS-inspected and audit-traced flows
-/// always take the eager path regardless of mode).
+/// qualify for single-pass scanning: every flow except those of
+/// `audit_trace_hosts`, which always take the eager path regardless of
+/// mode. TLS-inspected flows qualify; the scanner decrypts them a
+/// chunk at a time once their plaintext attempt fails.
 ///
 /// Both modes produce bit-identical alerts and statistics — the
 /// equivalence property tests drive them against each other over
@@ -41,7 +42,9 @@ pub enum ScanMode {
     Eager,
     /// Analyze in-order bytes as the reassembler delivers them and
     /// drop them immediately; per-flow retention is bounded by the
-    /// reorder window instead of flow length.
+    /// reorder window instead of flow length. A TLS-inspected flow
+    /// also holds its chunks until its first upstream bytes decide
+    /// between plaintext and decryption.
     #[default]
     Incremental,
 }
@@ -143,7 +146,9 @@ pub struct MonitorStats {
     /// High-water mark of raw payload bytes retained across all live
     /// flows (reassembly buffers + reorder pendings + incremental
     /// decoder buffers). Under [`ScanMode::Incremental`] this is
-    /// bounded by the reorder window of concurrently-live flows; under
+    /// bounded by the reorder window of concurrently-live flows, plus
+    /// the chunks a TLS-inspected flow holds until its first upstream
+    /// bytes decide between plaintext and decryption; under
     /// [`ScanMode::Eager`] it tracks total live flow volume. For the
     /// sharded path it is the sum of per-shard peaks. Deterministic
     /// (no wall-clock input), so it participates in checkpoint
@@ -178,20 +183,21 @@ impl Monitor {
     }
 
     /// May a flow with this tuple be analyzed single-pass with early
-    /// byte-drop? Decided once, from the flow's first record: flows
-    /// that might need their full raw buffers later — TLS-inspected
-    /// hosts (decrypt-and-reparse fallback) and audit-traced hosts
-    /// (forensic capture) — always take the eager path.
+    /// byte-drop? Decided once, from the flow's first record. Only
+    /// flows of audit-traced hosts, which are captured in full for
+    /// forensics, take the eager path; TLS-inspected flows are scanned
+    /// too, decrypted a chunk at a time once their plaintext attempt
+    /// fails.
     pub(crate) fn scan_eligible(&self, tuple: &FiveTuple) -> bool {
         self.config.scan_mode == ScanMode::Incremental
-            && !self.config.inspect_secrets.contains_key(&tuple.dst)
-            && !self.config.inspect_secrets.contains_key(&tuple.src)
             && !self.config.audit_trace_hosts.contains(&tuple.dst)
             && !self.config.audit_trace_hosts.contains(&tuple.src)
     }
 
-    pub(crate) fn secret_for(&self, buf: &FlowBuf) -> Option<&[u8]> {
-        let tuple = buf.tuple?;
+    /// The inspection secret for a flow with this tuple: its
+    /// responder's if granted, else its initiator's (a server that
+    /// opened the flow).
+    pub(crate) fn secret_for(&self, tuple: &FiveTuple) -> Option<&[u8]> {
         self.config
             .inspect_secrets
             .get(&tuple.dst)
@@ -229,7 +235,8 @@ impl Monitor {
         intel: &mut FeedCache,
     ) -> Option<(FlowFeatures, FlowAnalysis, Vec<Alert>)> {
         let ff = FlowFeatures::from_flow(id, buf)?;
-        let analysis = analyze_flow(FlowId(id), buf, self.secret_for(buf));
+        let secret = buf.tuple.as_ref().and_then(|t| self.secret_for(t));
+        let analysis = analyze_flow(FlowId(id), buf, secret);
         let mut alerts = detectors::per_flow(&ff, &analysis, rules, &self.config.thresholds);
         // Hot-reloaded intel: only rules that had propagated before this
         // flow began may match it (no retroactive alerts). The guard is
@@ -255,7 +262,7 @@ impl Monitor {
         intel: &mut FeedCache,
     ) -> Option<(FlowFeatures, FlowAnalysis, Vec<Alert>)> {
         let ff = acc.finish(id, buf)?;
-        let (analysis, hits) = scanner.finalize();
+        let (analysis, hits) = scanner.finalize(intel);
         let mut alerts = detectors::per_flow(&ff, &analysis, rules, &self.config.thresholds);
         if !self.config.intel.is_empty() {
             alerts.extend(detectors::feed_rule_hits_scanned(

@@ -26,6 +26,7 @@ use crate::engine::{Monitor, MonitorStats};
 use crate::features::{FlowFeatures, RateAcc};
 use crate::reassembly::FlowBuf;
 use crate::scan::FlowScanner;
+use ja_netsim::flow::FlowId;
 use ja_netsim::payload::PayloadBytes;
 use ja_netsim::segment::SegmentRecord;
 use ja_netsim::time::{Duration, SimTime};
@@ -217,6 +218,9 @@ pub struct StreamingMonitor<'m> {
     /// the per-record hot path allocates nothing in steady state.
     scratch_up: Vec<PayloadBytes>,
     scratch_down: Vec<PayloadBytes>,
+    /// Reused buffer the scanners of TLS-inspected flows decrypt
+    /// chunks into.
+    decrypt_buf: Vec<u8>,
     since_sweep: u64,
     started: std::time::Instant,
 }
@@ -235,6 +239,7 @@ impl<'m> StreamingMonitor<'m> {
             retained_now: 0,
             scratch_up: Vec::new(),
             scratch_down: Vec::new(),
+            decrypt_buf: Vec::new(),
             since_sweep: 0,
             started: std::time::Instant::now(),
         }
@@ -253,7 +258,7 @@ impl<'m> StreamingMonitor<'m> {
             let scan = monitor.scan_eligible(&rec.tuple).then(|| {
                 buf.set_lean();
                 Box::new(ScanState {
-                    scanner: FlowScanner::new(),
+                    scanner: FlowScanner::new(FlowId(rec.flow_id), monitor.secret_for(&rec.tuple)),
                     acc: RateAcc::new(),
                 })
             });
@@ -282,10 +287,12 @@ impl<'m> StreamingMonitor<'m> {
                     scan.acc.on_down(rec.time, rec.wire_len);
                 }
                 for chunk in self.scratch_up.drain(..) {
-                    scan.scanner.feed_up(&chunk, &mut self.intel);
+                    scan.scanner
+                        .feed_up(&chunk, &mut self.intel, &mut self.decrypt_buf);
                 }
                 for chunk in self.scratch_down.drain(..) {
-                    scan.scanner.feed_down(&chunk, &mut self.intel);
+                    scan.scanner
+                        .feed_down(&chunk, &mut self.intel, &mut self.decrypt_buf);
                 }
                 let after = scan.retained_with(&lf.buf);
                 self.retained_now = self.retained_now - before + after;
@@ -1021,5 +1028,40 @@ mod tests {
         let (_, stats) = sm.finish();
         assert!(stats.peak_live_flows > 0);
         assert!(stats.peak_live_flows < stats.flows);
+    }
+
+    #[test]
+    fn non_websocket_upstream_is_not_retained() {
+        use ja_netsim::addr::{HostAddr, HostId};
+        use ja_netsim::network::Network;
+        use ja_netsim::segment::Direction;
+        // A binary upstream never carries an HTTP header terminator. It
+        // is rejected from its first bytes, so none of it is held until
+        // eviction.
+        let mut net = Network::new();
+        let f = net.open(
+            SimTime::ZERO,
+            HostAddr::internal(HostId(1)),
+            40_000,
+            HostAddr::external(2),
+            443,
+        );
+        for i in 0..100 {
+            net.send(
+                SimTime::from_millis(1 + i),
+                f,
+                Direction::ToResponder,
+                &[0xffu8; 1000],
+            );
+        }
+        net.close(SimTime::from_secs(1), f, false);
+        let (_, stats) = Monitor::default().analyze(&net.into_trace());
+        assert_eq!((stats.flows, stats.opaque_flows), (1, 1));
+        assert_eq!(stats.bytes, 100_000);
+        assert!(
+            stats.peak_retained_bytes < 1000,
+            "retained {} bytes",
+            stats.peak_retained_bytes
+        );
     }
 }

@@ -581,6 +581,19 @@ proptest! {
 /// ciphertext/rejected header, opaque) the incremental scanner must
 /// reproduce bit for bit.
 fn scan_regimes_trace(sessions: usize, with_tls: bool) -> Trace {
+    regimes_network(sessions, with_tls, "print('x')")
+        .0
+        .into_trace()
+}
+
+/// The network behind [`scan_regimes_trace`], with the TLS session
+/// running `tls_code`, plus every server's address and transport
+/// secret.
+fn regimes_network(
+    sessions: usize,
+    with_tls: bool,
+    tls_code: &str,
+) -> (Network, Vec<(HostAddr, Vec<u8>)>) {
     use ja_kernelsim::actions::CellScript;
     use ja_kernelsim::config::{ServerConfig, TransportMode};
     use ja_kernelsim::server::NotebookServer;
@@ -591,6 +604,7 @@ fn scan_regimes_trace(sessions: usize, with_tls: bool) -> Trace {
     let mut srv = NotebookServer::new(1, scfg, 11);
     srv.provision_user("alice", SimTime::ZERO);
     srv.start_kernel("alice", SimTime::ZERO);
+    let mut servers = vec![(srv.addr, srv.transport_secret.clone())];
     for i in 0..sessions {
         let at = SimTime::from_secs(60 * (i as u64 + 1));
         let mut conn = srv.connect(
@@ -614,13 +628,14 @@ fn scan_regimes_trace(sessions: usize, with_tls: bool) -> Trace {
         let mut tsrv = NotebookServer::new(2, tcfg, 12);
         tsrv.provision_user("bob", SimTime::ZERO);
         tsrv.start_kernel("bob", SimTime::ZERO);
+        servers.push((tsrv.addr, tsrv.transport_secret.clone()));
         let at = SimTime::from_secs(30);
         let mut conn = tsrv.connect(&mut net, at, HostAddr::internal(HostId(150)), "bob", 0);
         let done = tsrv.run_cell(
             &mut net,
             at + Duration::from_millis(50),
             &mut conn,
-            &CellScript::pure("print('x')"),
+            &CellScript::pure(tls_code),
         );
         conn.close(&mut net, done + Duration::from_secs(1));
     }
@@ -639,7 +654,56 @@ fn scan_regimes_trace(sessions: usize, with_tls: bool) -> Trace {
         &[0xffu8; 700],
     );
     net.close(SimTime::from_secs(7), f, false);
-    net.into_trace()
+    (net, servers)
+}
+
+/// [`scan_regimes_trace`] with a hostile TLS session, plus the flows an
+/// inspecting sensor must not decrypt needlessly: a raw stream the
+/// plaintext-WS server opens to an external host (the exfiltration
+/// shape) and an ASCII `GET` upstream to it that never ends its header.
+/// Returns the trace and every server's inspection secret.
+fn inspected_regimes_trace(sessions: usize) -> (Trace, Vec<(HostAddr, Vec<u8>)>) {
+    let (mut net, servers) =
+        regimes_network(sessions, true, "subprocess.Popen('/tmp/.stratum_kworkerd')");
+    let server = servers[0].0;
+    let exfil = net.open(
+        SimTime::from_secs(8),
+        server,
+        41_000,
+        HostAddr::external(3),
+        443,
+    );
+    for i in 0..4u8 {
+        net.send(
+            SimTime::from_secs(9) + Duration::from_millis(i as u64),
+            exfil,
+            Direction::ToResponder,
+            &[i.wrapping_mul(37) ^ 0x5a; 150],
+        );
+    }
+    net.send(SimTime::from_secs(10), exfil, Direction::ToInitiator, b"ok");
+    net.close(SimTime::from_secs(11), exfil, false);
+    let stalled = net.open(
+        SimTime::from_secs(12),
+        HostAddr::internal(HostId(10)),
+        41_001,
+        server,
+        8888,
+    );
+    net.send(
+        SimTime::from_secs(13),
+        stalled,
+        Direction::ToResponder,
+        b"GET /api/kernels HTTP/1.1\r\nHost: hub\r\nUser-Agent: probe/1.0\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n",
+    );
+    net.send(
+        SimTime::from_secs(14),
+        stalled,
+        Direction::ToInitiator,
+        b"HTTP/1.1 408 Request Timeout\r\n\r\n",
+    );
+    net.close(SimTime::from_secs(15), stalled, false);
+    (net.into_trace(), servers)
 }
 
 fn scan_hot_rules() -> Vec<Rule> {
@@ -768,4 +832,134 @@ fn scan_regimes_trace_fires_alerts_in_both_modes() {
     assert!(incr_stats.peak_retained_bytes < eager_stats.peak_retained_bytes);
     assert!(incr_stats.full_content_flows > 0);
     assert!(incr_stats.opaque_flows > 0);
+}
+
+/// Run `records` through one streaming engine with every server in
+/// `servers` inspected, publishing the hot rules just before record
+/// `publish_idx` (never when `None`).
+fn run_inspected(
+    records: &[SegmentRecord],
+    servers: &[(HostAddr, Vec<u8>)],
+    scan_mode: ja_monitor::ScanMode,
+    match_mode: MatchMode,
+    publish_idx: Option<usize>,
+) -> (Vec<ja_monitor::Alert>, ja_monitor::MonitorStats) {
+    let mut cfg = ja_monitor::MonitorConfig {
+        scan_mode,
+        match_mode,
+        ..Default::default()
+    };
+    for (addr, secret) in servers {
+        cfg = cfg.with_inspection(*addr, secret.clone());
+    }
+    let m = Monitor::new(cfg);
+    let feed = m.config.intel.clone();
+    let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
+    for (i, r) in records.iter().enumerate() {
+        if publish_idx == Some(i) {
+            for rule in scan_hot_rules() {
+                feed.publish(r.time, rule);
+            }
+        }
+        sm.push(r);
+    }
+    sm.finish()
+}
+
+proptest! {
+    /// Under TLS inspection of every server the incremental scanner —
+    /// plaintext decided from the first upstream bytes, decryption a
+    /// chunk at a time — is bit-identical to the eager
+    /// decrypt-and-reparse path: same alerts, same statistics, across
+    /// reorderings, duplicates, both match modes and a mid-flow intel
+    /// publish, over a TLS session, a plaintext-WS session on an
+    /// inspected host, a server-opened raw stream and an unterminated
+    /// `GET` upstream. It never retains more than the eager path.
+    #[test]
+    fn incremental_scan_matches_eager_engine_under_inspection(
+        sessions in 1usize..3,
+        jitter_ms in 0u64..50,
+        dup_mask in proptest::collection::vec(any::<bool>(), 8),
+        publish_frac in proptest::option::of(0.0f64..1.0),
+        naive in any::<bool>(),
+        seed in any::<u64>()) {
+        let (trace, servers) = inspected_regimes_trace(sessions);
+        let mut recs = trace.into_records();
+        let dups: Vec<SegmentRecord> = recs
+            .iter()
+            .filter(|r| !r.payload.is_empty())
+            .enumerate()
+            .filter(|(i, _)| dup_mask[i % dup_mask.len()])
+            .map(|(_, r)| r.clone())
+            .collect();
+        recs.extend(dups);
+        let mut rng = SimRng::new(seed);
+        let shuffled = Trace::new(recs).perturb(&mut rng, 0.0, Duration::from_millis(jitter_ms));
+        let records = shuffled.records();
+        let publish_idx = publish_frac.map(|p| (p * records.len() as f64) as usize);
+        let match_mode = if naive { MatchMode::Naive } else { MatchMode::Compiled };
+        let run = |scan_mode| run_inspected(records, &servers, scan_mode, match_mode, publish_idx);
+        let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
+        let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
+        prop_assert_eq!(feed_fingerprint(&eager_alerts), feed_fingerprint(&incr_alerts));
+        prop_assert_eq!(eager_stats.segments, incr_stats.segments);
+        prop_assert_eq!(eager_stats.flows, incr_stats.flows);
+        prop_assert_eq!(eager_stats.bytes, incr_stats.bytes);
+        prop_assert_eq!(eager_stats.kernel_msgs, incr_stats.kernel_msgs);
+        prop_assert_eq!(eager_stats.full_content_flows, incr_stats.full_content_flows);
+        prop_assert_eq!(eager_stats.framing_only_flows, incr_stats.framing_only_flows);
+        prop_assert_eq!(eager_stats.opaque_flows, incr_stats.opaque_flows);
+        prop_assert_eq!(eager_stats.peak_live_flows, incr_stats.peak_live_flows);
+        prop_assert!(
+            incr_stats.peak_retained_bytes <= eager_stats.peak_retained_bytes,
+            "incremental retained {} > eager {}",
+            incr_stats.peak_retained_bytes,
+            eager_stats.peak_retained_bytes
+        );
+    }
+}
+
+/// Deterministic anchor for the inspected property above: the hostile
+/// cell inside the TLS session is only readable through decryption,
+/// and it fires the code-plane intel rule in both engines, so the
+/// property is not comparing empty alert sets.
+#[test]
+fn inspected_tls_cell_fires_intel_in_both_modes() {
+    let (trace, servers) = inspected_regimes_trace(1);
+    // Flow alerts name the client; this one opened the TLS session.
+    let tls_client = HostAddr::internal(HostId(150));
+    let run = |scan_mode| {
+        run_inspected(
+            trace.records(),
+            &servers,
+            scan_mode,
+            MatchMode::Compiled,
+            Some(0),
+        )
+    };
+    let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
+    let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
+    for alerts in [&eager_alerts, &incr_alerts] {
+        assert!(
+            alerts
+                .iter()
+                .any(|a| a.detail.contains("hp-scan-0") && a.host == Some(tls_client)),
+            "expected the TLS cell's intel hit, got {:?}",
+            alerts
+                .iter()
+                .map(|a| (&a.detail, a.host))
+                .collect::<Vec<_>>()
+        );
+    }
+    assert_eq!(
+        feed_fingerprint(&eager_alerts),
+        feed_fingerprint(&incr_alerts)
+    );
+    assert_eq!(
+        eager_stats.full_content_flows,
+        incr_stats.full_content_flows
+    );
+    assert_eq!(incr_stats.full_content_flows, 2);
+    assert!(incr_stats.opaque_flows >= 3);
+    assert!(incr_stats.peak_retained_bytes < eager_stats.peak_retained_bytes);
 }
