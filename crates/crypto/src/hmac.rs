@@ -9,11 +9,16 @@
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA256.
+///
+/// Both pads are absorbed at construction, so a keyed instance holds two
+/// hash states and no key block. Cloning one and feeding each message to
+/// the clone signs a stream of messages under one key schedule — what
+/// jupyter_client's `Session.auth.copy()` does per message.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// Outer-pad key block, retained until finalize.
-    opad: [u8; BLOCK_LEN],
+    /// Hash state after the outer-pad key block, resumed at finalize.
+    outer: Sha256,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -42,7 +47,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -54,8 +61,7 @@ impl HmacSha256 {
     /// Finish and return the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -3,7 +3,7 @@
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_crypto::hex;
-use ja_crypto::hmac::{ct_eq, hmac_sha256, verify, HmacSha256};
+use ja_crypto::hmac::{ct_eq, hmac_sha256, hmac_sha256_parts, verify, HmacSha256};
 use ja_crypto::sha256::{sha256, Sha256};
 use proptest::prelude::*;
 
@@ -54,6 +54,26 @@ proptest! {
             mac.update(c);
         }
         prop_assert_eq!(mac.finalize(), want);
+    }
+
+    /// One keyed MAC, cloned for each of N messages (the per-session
+    /// reuse the wire layer relies on), tags every message exactly as a
+    /// one-shot HMAC under the raw key does.
+    #[test]
+    fn hmac_keyed_clone_reuse(key in proptest::collection::vec(any::<u8>(), 0..160),
+                              msgs in proptest::collection::vec(
+                                  proptest::collection::vec(
+                                      proptest::collection::vec(any::<u8>(), 0..200), 0..5),
+                                  1..12)) {
+        let keyed = HmacSha256::new(&key);
+        for parts in &msgs {
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let mut mac = keyed.clone();
+            for p in &parts {
+                mac.update(p);
+            }
+            prop_assert_eq!(mac.finalize(), hmac_sha256_parts(&key, &parts));
+        }
     }
 
     /// ct_eq is true iff the slices are equal.

@@ -14,6 +14,7 @@ use crate::messages::{
     ExecutionState, Header, MsgType, ReplyStatus, StatusContent, StreamContent,
 };
 use crate::wire::{WireError, WireMessage};
+use ja_crypto::hmac::HmacSha256;
 
 /// What executing a cell "does", as observable protocol output. The
 /// kernel simulator derives this from its effect model; tests construct
@@ -102,24 +103,35 @@ impl CellOutcome {
     }
 }
 
+/// The session MAC for `key`: keyed once here and cloned per message
+/// (`None` when the key is empty, i.e. signing is disabled).
+fn session_mac(key: &[u8]) -> Option<HmacSha256> {
+    (!key.is_empty()).then(|| HmacSha256::new(key))
+}
+
 /// Client half of the two-process model.
+///
+/// The session holds its keyed [`HmacSha256`], never the raw key, so
+/// `{:?}` cannot print key material.
 #[derive(Clone, Debug)]
 pub struct ClientSession {
     /// Session id shared by all messages from this client.
     pub session_id: String,
     /// Authenticated username.
     pub username: String,
-    key: Vec<u8>,
+    mac: Option<HmacSha256>,
     seq: u64,
 }
 
 impl ClientSession {
-    /// New client session signing with `key` (empty key ⇒ unsigned).
+    /// New client session signing with `key` (empty key ⇒ unsigned). The
+    /// MAC is keyed once here and cloned for each message, as
+    /// jupyter_client's `Session.auth.copy()` does.
     pub fn new(session_id: &str, username: &str, key: &[u8]) -> Self {
         ClientSession {
             session_id: session_id.to_string(),
             username: username.to_string(),
-            key: key.to_vec(),
+            mac: session_mac(key),
             seq: 0,
         }
     }
@@ -129,7 +141,7 @@ impl ClientSession {
         let header = Header::new(msg_type, &self.session_id, &self.username, self.seq, sim_us);
         self.seq += 1;
         WireMessage::build(
-            &self.key,
+            self.mac.as_ref(),
             vec![self.session_id.as_bytes().to_vec()],
             &header,
             None,
@@ -170,7 +182,7 @@ impl ClientSession {
         let mut error = None;
         let mut reply: Option<ExecuteReply> = None;
         for (channel, msg) in replies {
-            if !msg.verify(&self.key) {
+            if !msg.verify(self.mac.as_ref()) {
                 return Err(WireError::BadSignature);
             }
             let header = msg.parsed_header()?;
@@ -216,22 +228,26 @@ impl ClientSession {
 }
 
 /// Kernel half of the two-process model.
+///
+/// Like [`ClientSession`], it holds the keyed [`HmacSha256`] rather than
+/// the raw key.
 #[derive(Clone, Debug)]
 pub struct KernelSession {
     /// Kernel-side session id (distinct from client session).
     pub kernel_session_id: String,
-    key: Vec<u8>,
+    mac: Option<HmacSha256>,
     execution_count: u32,
     seq: u64,
     state: ExecutionState,
 }
 
 impl KernelSession {
-    /// New kernel session verifying/signing with `key`.
+    /// New kernel session verifying/signing with `key` (empty key ⇒
+    /// unsigned), keyed once here like [`ClientSession::new`].
     pub fn new(kernel_session_id: &str, key: &[u8]) -> Self {
         KernelSession {
             kernel_session_id: kernel_session_id.to_string(),
-            key: key.to_vec(),
+            mac: session_mac(key),
             execution_count: 0,
             seq: 0,
             state: ExecutionState::Starting,
@@ -251,22 +267,40 @@ impl KernelSession {
     fn emit(
         &mut self,
         msg_type: MsgType,
-        parent: &Header,
+        parent: &Parent,
         content_json: String,
         sim_us: u64,
     ) -> WireMessage {
         let header = Header::new(
             msg_type,
             &self.kernel_session_id,
-            &parent.username,
+            &parent.header.username,
             self.seq,
             sim_us,
         );
         self.seq += 1;
-        WireMessage::build(&self.key, vec![], &header, Some(parent), content_json)
+        WireMessage::build(
+            self.mac.as_ref(),
+            vec![],
+            &header,
+            Some(&parent.json),
+            content_json,
+        )
     }
 
-    fn status(&mut self, parent: &Header, state: ExecutionState, sim_us: u64) -> WireMessage {
+    /// Verify `request` and parse its header for the replies.
+    fn accept(&self, request: &WireMessage) -> Result<Parent, WireError> {
+        if !request.verify(self.mac.as_ref()) {
+            return Err(WireError::BadSignature);
+        }
+        let header = request.parsed_header()?;
+        // Re-serialized rather than copied from `request.header`, so a
+        // non-canonical request header cannot change the replies.
+        let json = serde_json::to_string(&header).expect("header serializes");
+        Ok(Parent { header, json })
+    }
+
+    fn status(&mut self, parent: &Parent, state: ExecutionState, sim_us: u64) -> WireMessage {
         self.state = state;
         let content = serde_json::to_string(&StatusContent {
             execution_state: state,
@@ -292,10 +326,7 @@ impl KernelSession {
         effect: &CellEffect,
         sim_us: u64,
     ) -> Result<Vec<(Channel, WireMessage)>, WireError> {
-        if !request.verify(&self.key) {
-            return Err(WireError::BadSignature);
-        }
-        let parent = request.parsed_header()?;
+        let parent = self.accept(request)?;
         let req: ExecuteRequest =
             serde_json::from_str(&request.content).map_err(|_| WireError::BadHeader)?;
         let mut out = Vec::with_capacity(6);
@@ -386,11 +417,8 @@ impl KernelSession {
         request: &WireMessage,
         sim_us: u64,
     ) -> Result<Vec<(Channel, WireMessage)>, WireError> {
-        if !request.verify(&self.key) {
-            return Err(WireError::BadSignature);
-        }
-        let parent = request.parsed_header()?;
-        let reply_type = match parent.msg_type {
+        let parent = self.accept(request)?;
+        let reply_type = match parent.header.msg_type {
             MsgType::InterruptRequest => MsgType::InterruptReply,
             MsgType::ShutdownRequest => MsgType::ShutdownReply,
             _ => return Err(WireError::BadHeader),
@@ -414,6 +442,12 @@ impl KernelSession {
     pub fn heartbeat(&self, ping: &[u8]) -> Vec<u8> {
         ping.to_vec()
     }
+}
+
+/// A verified request's header, parsed and serialized once for every reply.
+struct Parent {
+    header: Header,
+    json: String,
 }
 
 /// Conformance check for an execute exchange (Fig. 2): given the
@@ -524,7 +558,7 @@ mod tests {
             .unwrap();
         let parent = req.parsed_header().unwrap();
         for (_, m) in &msgs {
-            assert!(m.verify(KEY));
+            assert!(m.verify(Some(&HmacSha256::new(KEY))));
             let p: Header = serde_json::from_str(&m.parent_header).unwrap();
             assert_eq!(p.msg_id, parent.msg_id);
         }
@@ -605,6 +639,64 @@ mod tests {
                 (Channel::IoPub, MsgType::Status),
             ]
         );
+    }
+
+    #[test]
+    fn replies_carry_the_reserialized_request_header() {
+        let mut client = ClientSession::new("cs-14", "alice", KEY);
+        let mut kernel = KernelSession::new("ks-14", KEY);
+        let execute = client.execute_request("print(1)", 3);
+        let control = client.request(MsgType::InterruptRequest, "{}".into(), 4);
+        // A valid but non-canonical header: the replies must carry the
+        // canonical form, not these bytes.
+        let mut padded = client.execute_request("print(2)", 7);
+        padded.header = format!(" {} ", padded.header);
+        padded.signature = ja_crypto::hex::encode(&ja_crypto::hmac::hmac_sha256_parts(
+            KEY,
+            &[
+                padded.header.as_bytes(),
+                padded.parent_header.as_bytes(),
+                padded.metadata.as_bytes(),
+                padded.content.as_bytes(),
+            ],
+        ));
+        let replies = [
+            (
+                &execute,
+                kernel
+                    .handle_execute(&execute, &CellEffect::stdout("1\n"), 5)
+                    .unwrap(),
+            ),
+            (&control, kernel.handle_control(&control, 6).unwrap()),
+            (
+                &padded,
+                kernel
+                    .handle_execute(&padded, &CellEffect::result("2"), 8)
+                    .unwrap(),
+            ),
+        ];
+        for (request, msgs) in replies {
+            let want = serde_json::to_string(&request.parsed_header().unwrap()).unwrap();
+            assert_ne!(want, padded.header);
+            for (_, m) in msgs {
+                assert_eq!(m.parent_header, want);
+            }
+        }
+    }
+
+    #[test]
+    fn debug_does_not_print_the_signing_key() {
+        let key = b"debug-leak-probe-key";
+        let byte_list = format!("{:?}", key.to_vec());
+        let inner = byte_list.trim_matches(|c| c == '[' || c == ']');
+        let hex = ja_crypto::hex::encode(key);
+        let client = format!("{:?}", ClientSession::new("cs-15", "alice", key));
+        let kernel = format!("{:?}", KernelSession::new("ks-15", key));
+        for dbg in [client, kernel] {
+            assert!(!dbg.contains(inner), "{dbg}");
+            assert!(!dbg.contains(&hex), "{dbg}");
+            assert!(!dbg.contains("debug-leak-probe-key"), "{dbg}");
+        }
     }
 
     #[test]

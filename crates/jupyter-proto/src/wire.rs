@@ -7,13 +7,15 @@
 //! ```
 //!
 //! where `signature = HMAC-SHA256(key, header ‖ parent_header ‖ metadata ‖
-//! content)` over the serialized JSON bytes. This module reproduces that
-//! framing exactly, plus a length-prefixed byte encoding standing in for
-//! ZMQ's own framing so messages can ride the `netsim` byte streams and
-//! WebSocket frames.
+//! content)` over the serialized JSON bytes. Signing and verification take
+//! the session's keyed [`HmacSha256`] rather than raw key bytes, so a
+//! session runs the HMAC key schedule once, not once per message. This
+//! module reproduces that framing exactly, plus a length-prefixed byte
+//! encoding standing in for ZMQ's own framing so messages can ride the
+//! `netsim` byte streams and WebSocket frames.
 
 use crate::messages::{Header, MsgType};
-use ja_crypto::hmac;
+use ja_crypto::hmac::{self, HmacSha256};
 
 /// The ZMQ delimiter separating routing identities from the payload.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
@@ -68,65 +70,58 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl WireMessage {
-    /// Build and sign a message. `key` empty ⇒ unsigned (the
-    /// misconfigured deployments do this).
+    /// Build and sign a message with `mac`, a keyed [`HmacSha256`] the
+    /// caller keeps for the session; it is cloned, never consumed, so the
+    /// key schedule is paid once per session rather than per message.
+    /// `None` ⇒ unsigned (the misconfigured deployments do this).
+    ///
+    /// `parent_header` is the parent's serialized header JSON (`None` ⇒
+    /// `{}`), so a kernel answering one request with several replies
+    /// serializes the request header once.
     pub fn build(
-        key: &[u8],
+        mac: Option<&HmacSha256>,
         identities: Vec<Vec<u8>>,
         header: &Header,
-        parent: Option<&Header>,
+        parent_header: Option<&str>,
         content_json: String,
     ) -> Self {
-        let header_s = serde_json::to_string(header).expect("header serializes");
-        let parent_s = match parent {
-            Some(p) => serde_json::to_string(p).expect("parent serializes"),
-            None => "{}".to_string(),
-        };
-        let metadata_s = "{}".to_string();
-        let signature = if key.is_empty() {
-            String::new()
-        } else {
-            let tag = hmac::hmac_sha256_parts(
-                key,
-                &[
-                    header_s.as_bytes(),
-                    parent_s.as_bytes(),
-                    metadata_s.as_bytes(),
-                    content_json.as_bytes(),
-                ],
-            );
-            ja_crypto::hex::encode(&tag)
-        };
-        WireMessage {
+        let mut msg = WireMessage {
             identities,
-            signature,
-            header: header_s,
-            parent_header: parent_s,
-            metadata: metadata_s,
+            signature: String::new(),
+            header: serde_json::to_string(header).expect("header serializes"),
+            parent_header: parent_header.unwrap_or("{}").to_string(),
+            metadata: "{}".to_string(),
             content: content_json,
             buffers: Vec::new(),
+        };
+        if let Some(mac) = mac {
+            msg.signature = ja_crypto::hex::encode(&msg.tag(mac));
         }
+        msg
     }
 
-    /// Verify the signature under `key`. Unsigned messages verify only
-    /// when the key is also empty (i.e. signing disabled consistently).
-    pub fn verify(&self, key: &[u8]) -> bool {
-        if key.is_empty() {
+    /// HMAC of `header ‖ parent_header ‖ metadata ‖ content` under a
+    /// clone of `mac`.
+    fn tag(&self, mac: &HmacSha256) -> [u8; 32] {
+        let mut mac = mac.clone();
+        mac.update(self.header.as_bytes())
+            .update(self.parent_header.as_bytes())
+            .update(self.metadata.as_bytes())
+            .update(self.content.as_bytes());
+        mac.finalize()
+    }
+
+    /// Verify the signature under `mac`, the receiving session's keyed
+    /// [`HmacSha256`]. Unsigned messages verify only when `mac` is also
+    /// `None` (i.e. signing disabled consistently).
+    pub fn verify(&self, mac: Option<&HmacSha256>) -> bool {
+        let Some(mac) = mac else {
             return self.signature.is_empty();
-        }
+        };
         let Ok(tag) = ja_crypto::hex::decode(&self.signature) else {
             return false;
         };
-        let want = hmac::hmac_sha256_parts(
-            key,
-            &[
-                self.header.as_bytes(),
-                self.parent_header.as_bytes(),
-                self.metadata.as_bytes(),
-                self.content.as_bytes(),
-            ],
-        );
-        hmac::ct_eq(&want, &tag)
+        hmac::ct_eq(&self.tag(mac), &tag)
     }
 
     /// Parse the header JSON back into a typed [`Header`].
@@ -239,39 +234,50 @@ mod tests {
         b"test-signing-key".to_vec()
     }
 
+    /// The keyed MAC a session holds for `key` (`None` when unsigned).
+    fn mac(key: &[u8]) -> Option<HmacSha256> {
+        (!key.is_empty()).then(|| HmacSha256::new(key))
+    }
+
     fn sample(key: &[u8]) -> WireMessage {
         let h = Header::new(MsgType::ExecuteRequest, "sess-1", "alice", 0, 100);
         let content = serde_json::to_string(&ExecuteRequest::new("print(42)")).unwrap();
-        WireMessage::build(key, vec![b"client-7".to_vec()], &h, None, content)
+        WireMessage::build(
+            mac(key).as_ref(),
+            vec![b"client-7".to_vec()],
+            &h,
+            None,
+            content,
+        )
     }
 
     #[test]
     fn build_verifies_under_same_key() {
         let m = sample(&key());
-        assert!(m.verify(&key()));
-        assert!(!m.verify(b"wrong-key"));
+        assert!(m.verify(mac(&key()).as_ref()));
+        assert!(!m.verify(mac(b"wrong-key").as_ref()));
     }
 
     #[test]
     fn unsigned_message_requires_unsigned_verification() {
         let m = sample(&[]);
         assert!(m.signature.is_empty());
-        assert!(m.verify(&[]));
-        assert!(!m.verify(&key()));
+        assert!(m.verify(mac(&[]).as_ref()));
+        assert!(!m.verify(mac(&key()).as_ref()));
     }
 
     #[test]
     fn tampered_content_fails_verification() {
         let mut m = sample(&key());
         m.content = m.content.replace("42", "43");
-        assert!(!m.verify(&key()));
+        assert!(!m.verify(mac(&key()).as_ref()));
     }
 
     #[test]
     fn tampered_header_fails_verification() {
         let mut m = sample(&key());
         m.header = m.header.replace("alice", "mallory");
-        assert!(!m.verify(&key()));
+        assert!(!m.verify(mac(&key()).as_ref()));
     }
 
     #[test]
@@ -279,7 +285,7 @@ mod tests {
         let m = sample(&key());
         let back = WireMessage::from_parts(m.to_parts()).unwrap();
         assert_eq!(back, m);
-        assert!(back.verify(&key()));
+        assert!(back.verify(mac(&key()).as_ref()));
     }
 
     #[test]
@@ -327,7 +333,7 @@ mod tests {
         let a = sample(&key());
         let h = Header::new(MsgType::Status, "sess-1", "alice", 1, 200);
         let b = WireMessage::build(
-            &key(),
+            mac(&key()).as_ref(),
             vec![],
             &h,
             None,

@@ -5,6 +5,11 @@
 //! Files here carry a materialized *sample* of their content (plus a
 //! nominal size), generated deterministically per content kind, so the
 //! detectors compute genuine statistics rather than reading a label.
+//!
+//! CSV samples are written line by line straight into the sample buffer
+//! by an exact fixed-point writer that produces the bytes of `{:.4}`:
+//! it rounds each value's exact binary expansion half-to-even in integer
+//! arithmetic, as std's formatter does, at a fraction of its cost.
 
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
@@ -40,15 +45,16 @@ pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
             corpus.iter().cycle().take(SAMPLE_LEN).copied().collect()
         }
         ContentKind::Csv => {
-            let mut out = Vec::with_capacity(SAMPLE_LEN);
+            // Room for the longest line past the cut, so it never regrows.
+            let mut out = Vec::with_capacity(SAMPLE_LEN + 32);
             while out.len() < SAMPLE_LEN {
-                let line = format!(
-                    "{},{:.4},{:.4}\n",
-                    rng.range(0, 100000),
-                    rng.f64() * 100.0,
-                    rng.f64()
-                );
-                out.extend_from_slice(line.as_bytes());
+                // `{},{:.4},{:.4}\n`, drawing range, f64, f64 in that order.
+                push_digits(&mut out, rng.range(0, 100000), 1);
+                out.push(b',');
+                push_fixed4(&mut out, rng.f64() * 100.0);
+                out.push(b',');
+                push_fixed4(&mut out, rng.f64());
+                out.push(b'\n');
             }
             out.truncate(SAMPLE_LEN);
             out
@@ -69,6 +75,93 @@ pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
             rng.fill_bytes(&mut seed);
             ChaCha20::from_seed(&seed).keystream(SAMPLE_LEN)
         }
+    }
+}
+
+/// Append the decimal digits of `v`, zero-padded to at least `width`.
+fn push_digits(out: &mut Vec<u8>, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut i = buf.len();
+    while v > 0 {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.extend_from_slice(&buf[i.min(buf.len() - width)..]);
+}
+
+/// Append finite `x` exactly as `format!("{x:.4}")` writes it.
+///
+/// `x = m · 2^e` exactly; `x · 10⁴` is rounded half-to-even to the
+/// integer `n` (std's rounding of the exact binary value), which is then
+/// printed as `n / 10⁴` "." four digits of `n % 10⁴`. For `e ≥ 0`, `x` is
+/// an integer and is printed whole.
+fn push_fixed4(out: &mut Vec<u8>, x: f64) {
+    debug_assert!(x.is_finite());
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | (1 << 52), biased - 1075)
+    };
+    if e >= 0 {
+        push_integer(out, m, e as u32);
+        out.extend_from_slice(b".0000");
+        return;
+    }
+    // m < 2^53, so m · 10⁴ < 2^67; a shift of 128 or more leaves less
+    // than half a unit, which rounds to zero.
+    let k = e.unsigned_abs();
+    let n = if k >= 128 {
+        0
+    } else {
+        let scaled = u128::from(m) * 10_000;
+        let q = scaled >> k;
+        let r = scaled & ((1u128 << k) - 1);
+        let half = 1u128 << (k - 1);
+        q + u128::from(r > half || (r == half && q & 1 == 1))
+    };
+    // e < 0 ⇒ x < 2^53, so the integer part fits a u64. `n` fits one too
+    // unless x ≥ 2^64 / 10⁴, and u64 division is far cheaper than u128.
+    let (int, frac) = match u64::try_from(n) {
+        Ok(n) => (n / 10_000, n % 10_000),
+        Err(_) => ((n / 10_000) as u64, (n % 10_000) as u64),
+    };
+    push_digits(out, int, 1);
+    out.push(b'.');
+    push_digits(out, frac, 4);
+}
+
+/// Append the decimal digits of the integer `m · 2^e`: directly when it
+/// fits a u64, else by long division of base-2³² limbs by 10⁹ (only for
+/// values of 2^64 and up).
+fn push_integer(out: &mut Vec<u8>, m: u64, e: u32) {
+    if m.leading_zeros() >= e {
+        push_digits(out, m << e, 1);
+        return;
+    }
+    let wide = u128::from(m) << (e % 32);
+    let mut limbs = vec![0u32; (e / 32) as usize];
+    limbs.extend([wide as u32, (wide >> 32) as u32, (wide >> 64) as u32]);
+    let mut chunks = Vec::new();
+    while limbs.iter().any(|&l| l != 0) {
+        let mut rem = 0u64;
+        for limb in limbs.iter_mut().rev() {
+            let cur = rem << 32 | u64::from(*limb);
+            *limb = (cur / 1_000_000_000) as u32;
+            rem = cur % 1_000_000_000;
+        }
+        chunks.push(rem);
+    }
+    let mut chunks = chunks.into_iter().rev();
+    push_digits(out, chunks.next().unwrap_or(0), 1);
+    for chunk in chunks {
+        push_digits(out, chunk, 9);
     }
 }
 
@@ -285,9 +378,122 @@ impl Vfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> SimRng {
         SimRng::new(99)
+    }
+
+    /// The writer against its oracle, std's `{:.4}`.
+    fn assert_fixed4(x: f64) {
+        let mut got = Vec::new();
+        push_fixed4(&mut got, x);
+        assert_eq!(
+            String::from_utf8(got).unwrap(),
+            format!("{x:.4}"),
+            "bits {:#x}",
+            x.to_bits()
+        );
+    }
+
+    /// [`assert_fixed4`] on `x` and its one-ulp neighbours (`x > 0`).
+    fn assert_fixed4_around(x: f64) {
+        let b = x.to_bits();
+        for y in [f64::from_bits(b - 1), x, f64::from_bits(b + 1)] {
+            assert_fixed4(y);
+        }
+    }
+
+    proptest! {
+        /// The values CSV samples actually format: unit-interval draws
+        /// and the same draws scaled by 100.
+        #[test]
+        fn fixed4_matches_std_on_sample_draws(seed in any::<u64>()) {
+            let mut r = SimRng::new(seed);
+            for _ in 0..2000 {
+                let u = r.f64();
+                assert_fixed4(u);
+                assert_fixed4(u * 100.0);
+            }
+        }
+
+        /// Arbitrary values in [0, 1e12): uniform, and uniform over the
+        /// bit patterns (every exponent, subnormals included).
+        #[test]
+        fn fixed4_matches_std_on_wide_values(x in 0.0f64..1e12, seed in any::<u64>()) {
+            assert_fixed4(x);
+            let mut r = SimRng::new(seed);
+            for _ in 0..2000 {
+                let y = f64::from_bits(r.range(0, u64::MAX) >> 1);
+                if y < 1e12 {
+                    assert_fixed4(y);
+                }
+            }
+        }
+
+        /// Ties `(2k+1)/20000` (exact only when the value is an odd
+        /// multiple of 1/32) and their ±1-ulp neighbours.
+        #[test]
+        fn fixed4_matches_std_on_ties(k0 in 0u64..1_000_000_000, j0 in 0u64..1 << 40) {
+            for k in k0..k0 + 500 {
+                assert_fixed4_around((2 * k + 1) as f64 / 20000.0);
+            }
+            for j in j0..j0 + 500 {
+                let tie = (2 * j + 1) as f64 / 32.0;
+                assert_eq!(tie * 20000.0 % 2.0, 1.0, "{tie} is an exact tie");
+                assert_fixed4_around(tie);
+            }
+        }
+    }
+
+    #[test]
+    fn fixed4_matches_std_at_the_edges() {
+        let near_u64 = [1e15, 1.8e15, 2f64.powi(53) - 0.5, 2f64.powi(64), 1e19];
+        for x in near_u64
+            .into_iter()
+            .chain([1e300, f64::MIN_POSITIVE, 5e-324])
+        {
+            assert_fixed4_around(x);
+        }
+        for x in [
+            0.0,
+            -0.0,
+            0.00005,
+            -0.00005,
+            0.99995,
+            99.99995,
+            -0.03125,
+            -1e300,
+            f64::MAX,
+        ] {
+            assert_fixed4(x);
+        }
+    }
+
+    /// The CSV branch as it was written with `format!`, kept as the oracle.
+    fn csv_sample_oracle(rng: &mut SimRng) -> Vec<u8> {
+        let mut out = Vec::with_capacity(SAMPLE_LEN);
+        while out.len() < SAMPLE_LEN {
+            let line = format!(
+                "{},{:.4},{:.4}\n",
+                rng.range(0, 100000),
+                rng.f64() * 100.0,
+                rng.f64()
+            );
+            out.extend_from_slice(line.as_bytes());
+        }
+        out.truncate(SAMPLE_LEN);
+        out
+    }
+
+    #[test]
+    fn csv_sample_equals_format_oracle() {
+        for seed in 0..10_000 {
+            let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+            let got = generate_sample(ContentKind::Csv, &mut a);
+            assert_eq!(got, csv_sample_oracle(&mut b), "seed {seed}");
+            assert_eq!(a.state(), b.state(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -327,7 +327,7 @@ mod tests {
         // on a thread with the default 2 MiB stack shard workers get:
         // the message still counts, its code is simply unreadable.
         let header = Header::new(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
-        let wire = WireMessage::build(b"", vec![], &header, None, "[".repeat(100_000));
+        let wire = WireMessage::build(None, vec![], &header, None, "[".repeat(100_000));
         let msg = Message::Binary(wire.encode());
         let (out, opaque) = std::thread::Builder::new()
             .stack_size(2 << 20)

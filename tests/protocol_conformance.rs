@@ -116,9 +116,10 @@ fn wire_messages_tampered_in_flight_fail_verification() {
         }
     }
     let mut msg = wire.expect("one request on the stream");
-    assert!(msg.verify(&key));
+    let mac = hmac::HmacSha256::new(&key);
+    assert!(msg.verify(Some(&mac)));
     msg.content = msg.content.replace("cell_0", "evil_0");
-    assert!(!msg.verify(&key));
+    assert!(!msg.verify(Some(&mac)));
 }
 
 #[test]
