@@ -341,7 +341,7 @@ mod tests {
             ),
             (
                 SimTime::from_secs(20),
-                exfiltration::campaign(1, &d.owner_of(1).to_string(), &ExfilParams::default()),
+                exfiltration::campaign(1, d.owner_of(1), &ExfilParams::default()),
             ),
         ];
         let groups = partition_campaigns(&campaigns, d.servers.len(), 4);
@@ -396,11 +396,11 @@ mod tests {
         let plan1 = vec![
             (
                 SimTime::ZERO,
-                crate::interactive::worm_campaign(0, &d1.owner_of(0).to_string(), vec![0, 1, 2], 3),
+                crate::interactive::worm_campaign(0, d1.owner_of(0), vec![0, 1, 2], 3),
             ),
             (
                 SimTime::from_secs(10),
-                exfiltration::campaign(3, &d1.owner_of(3).to_string(), &ExfilParams::default()),
+                exfiltration::campaign(3, d1.owner_of(3), &ExfilParams::default()),
             ),
         ];
         let mut seq = Vec::new();
@@ -413,11 +413,11 @@ mod tests {
         let plan2 = vec![
             (
                 SimTime::ZERO,
-                crate::interactive::worm_campaign(0, &d2.owner_of(0).to_string(), vec![0, 1, 2], 3),
+                crate::interactive::worm_campaign(0, d2.owner_of(0), vec![0, 1, 2], 3),
             ),
             (
                 SimTime::from_secs(10),
-                exfiltration::campaign(3, &d2.owner_of(3).to_string(), &ExfilParams::default()),
+                exfiltration::campaign(3, d2.owner_of(3), &ExfilParams::default()),
             ),
         ];
         let mut par = Vec::new();

@@ -15,7 +15,7 @@ fn bench_monitor(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(segments));
     group.bench_function("sequential", |b| {
-        b.iter(|| black_box(monitor.analyze(black_box(&trace))))
+        b.iter(|| black_box(ja_bench::monitor_only(&monitor, black_box(&trace), 1)))
     });
     group.bench_function("parallel", |b| {
         b.iter(|| {

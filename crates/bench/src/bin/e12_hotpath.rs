@@ -5,37 +5,40 @@
 //! pre-change monitor copied every captured byte at least twice (once
 //! materializing the record it handed the analyzer, once retaining it
 //! in the reassembler's contiguous buffer) and held whole flows in
-//! memory until eviction. This harness pits the two engines against
-//! each other on the same long-flow plaintext-WS workload:
+//! memory until eviction. This harness pits the production engine
+//! against the full-buffer reference on the same long-flow
+//! plaintext-WS workload:
 //!
-//! - **eager baseline** — per-record payload re-materialization (what
-//!   every hop cost when records owned `Vec<u8>`) plus
-//!   [`ScanMode::Eager`] full-buffer analysis at eviction;
+//! - **full-buffer reference** — per-record payload re-materialization
+//!   (what every hop cost when records owned `Vec<u8>`) plus
+//!   [`Monitor::analyze`], which reassembles the whole capture and
+//!   analyzes each flow from its complete buffers;
 //! - **incremental** — records share the generation-time allocation
-//!   ([`PayloadBytes`] refcount bumps) and [`ScanMode::Incremental`]
-//!   scans in-order bytes as they arrive, dropping them immediately.
+//!   ([`PayloadBytes`] refcount bumps) and the streaming engine scans
+//!   in-order bytes as they arrive, dropping them immediately.
 //!
 //! An **inspected** section runs the same workload on
 //! `TransportMode::Tls` with the sensor granted the server's secret,
-//! so every flow must be decrypted to be read. Both engines share the
-//! records here; the eager engine retains each flow, fails the
-//! plaintext parse, copies and decrypts both directions at eviction,
-//! while the incremental one decides from the first upstream bytes and
-//! decrypts each chunk into a reused buffer as it arrives. Decrypt
-//! copies are counted in the payload plane's copy accounting.
+//! so every flow must be decrypted to be read. Both share the records
+//! here; the reference retains each flow, fails the plaintext parse,
+//! copies and decrypts both directions, while the engine decides from
+//! the first upstream bytes and decrypts each chunk into a reused
+//! buffer as it arrives. Decrypt copies are counted in the payload
+//! plane's copy accounting.
 //!
 //! Alert **bit-identity is asserted before any timing**: the comparison
-//! is only meaningful because both engines produce the same alert
-//! stream in the same order. Reported per phase: bytes copied per byte
+//! is only meaningful because both produce the same alert stream in
+//! the same order. The JSON keeps the reference's row under its
+//! historical key, `eager`. Reported per phase: bytes copied per byte
 //! captured (payload-plane materializations over offered payload
 //! bytes), allocations and allocated bytes per segment (counting
 //! global allocator), peak retained flow bytes, and end-to-end MB/s.
 //!
 //! `--tiny` shrinks the workload for CI smoke (CI asserts
 //! `incremental.copies_per_byte < 1.5`, that incremental
-//! allocations/segment stay below the eager baseline, and that the
+//! allocations/segment stay below the reference's, and that the
 //! inspected section is alert-identical with incremental peak
-//! retention below eager). `--json` writes
+//! retention below the reference's). `--json` writes
 //! `BENCH_E12.json`. The full run asserts the headline claims: ≥30%
 //! fewer bytes copied per byte captured and ≥1.3× streamed throughput.
 
@@ -46,7 +49,7 @@ use ja_kernelsim::actions::{Action, CellScript};
 use ja_kernelsim::config::{ServerConfig, TransportMode};
 use ja_kernelsim::server::NotebookServer;
 use ja_monitor::alerts::Alert;
-use ja_monitor::engine::{Monitor, MonitorConfig, MonitorStats, ScanMode};
+use ja_monitor::engine::{Monitor, MonitorConfig, MonitorStats};
 use ja_monitor::rules::{Pattern, Rule, RuleOrigin};
 use ja_monitor::streaming::{StreamingConfig, StreamingMonitor};
 use ja_netsim::addr::{HostAddr, HostId};
@@ -55,6 +58,7 @@ use ja_netsim::payload::{self, PayloadBytes};
 use ja_netsim::rng::SimRng;
 use ja_netsim::segment::SegmentRecord;
 use ja_netsim::time::{Duration, SimTime};
+use ja_netsim::trace::Trace;
 
 /// Counting shim over the system allocator: every allocation on the
 /// measured path increments these process-wide counters. `unsafe` is
@@ -103,6 +107,7 @@ struct BenchReport {
     payload_bytes: u64,
     identical_alerts: bool,
     alerts: usize,
+    /// The full-buffer reference (historical key).
     eager: PhaseRow,
     incremental: PhaseRow,
     copy_reduction: f64,
@@ -118,6 +123,7 @@ struct InspectedReport {
     payload_bytes: u64,
     identical_alerts: bool,
     alerts: usize,
+    /// The full-buffer reference (historical key).
     eager: PhaseRow,
     incremental: PhaseRow,
     throughput_ratio: Option<f64>,
@@ -226,21 +232,20 @@ struct PhaseOut {
     alloc_bytes: u64,
 }
 
-/// One full streamed run. `rematerialize` reproduces the pre-change
-/// per-hop cost: every record handed to the monitor owns a fresh copy
-/// of its payload, exactly what `Vec<u8>`-owning records forced on
-/// every channel hop before the payload plane was refcounted.
-/// `inspect` grants the sensor a server's transport secret.
+/// One full run: the streaming engine, or with `reference` the
+/// full-buffer reference over the collected records. `rematerialize`
+/// reproduces the pre-change per-hop cost: every record handed to the
+/// monitor owns a fresh copy of its payload, exactly what
+/// `Vec<u8>`-owning records forced on every channel hop before the
+/// payload plane was refcounted. `inspect` grants the sensor a
+/// server's transport secret.
 fn run_phase(
     records: &[SegmentRecord],
-    scan_mode: ScanMode,
+    reference: bool,
     rematerialize: bool,
     inspect: Option<(HostAddr, &[u8])>,
 ) -> PhaseOut {
-    let mut cfg = MonitorConfig {
-        scan_mode,
-        ..Default::default()
-    };
+    let mut cfg = MonitorConfig::default();
     if let Some((addr, secret)) = inspect {
         cfg = cfg.with_inspection(addr, secret.to_vec());
     }
@@ -251,19 +256,26 @@ fn run_phase(
     payload::reset_copy_metrics();
     let (a0, b0) = alloc_snapshot();
     let started = std::time::Instant::now();
-    let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
-    if rematerialize {
-        for r in records {
-            let mut owned = r.clone();
+    let owned = |r: &SegmentRecord| {
+        let mut owned = r.clone();
+        if rematerialize {
             owned.payload = PayloadBytes::copy_from(&r.payload);
-            sm.push(&owned);
         }
+        owned
+    };
+    let (alerts, stats) = if reference {
+        m.analyze(&Trace::new(records.iter().map(owned).collect()))
     } else {
+        let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
         for r in records {
-            sm.push(r);
+            if rematerialize {
+                sm.push(&owned(r));
+            } else {
+                sm.push(r);
+            }
         }
-    }
-    let (alerts, stats) = sm.finish();
+        sm.finish()
+    };
     let wall = started.elapsed().as_secs_f64();
     let (a1, b1) = alloc_snapshot();
     PhaseOut {
@@ -314,51 +326,51 @@ fn phase_row(p: &PhaseOut, payload_bytes: u64, segments: usize, wall: f64) -> Ph
     }
 }
 
-/// Both engines on one workload: alert identity checked first, then
-/// best-of-`reps` wall clock per engine.
+/// The reference and the engine on one workload: alert identity
+/// checked first, then best-of-`reps` wall clock for each.
 struct Comparison {
     identical: bool,
     alerts: usize,
-    eager: PhaseRow,
+    reference: PhaseRow,
     incremental: PhaseRow,
-    eager_wall: f64,
+    reference_wall: f64,
     incr_wall: f64,
 }
 
-/// Run the eager and incremental engines over `records` and compare
-/// them. `eager_rematerialize` gives the eager engine the pre-change
-/// per-hop payload copies.
+/// Run the full-buffer reference and the incremental engine over
+/// `records` and compare them. `rematerialize_reference` gives the
+/// reference the pre-change per-hop payload copies.
 fn compare(
     records: &[SegmentRecord],
     payload_bytes: u64,
     inspect: Option<(HostAddr, &[u8])>,
-    eager_rematerialize: bool,
+    rematerialize_reference: bool,
     reps: usize,
 ) -> Comparison {
     // Bit-identity gate: the perf comparison below is meaningless unless
-    // both engines agree byte-for-byte on the alert stream first.
-    let eager_run = || run_phase(records, ScanMode::Eager, eager_rematerialize, inspect);
-    let incr_run = || run_phase(records, ScanMode::Incremental, false, inspect);
-    let eager0 = eager_run();
+    // both agree byte-for-byte on the alert stream first.
+    let reference_run = || run_phase(records, true, rematerialize_reference, inspect);
+    let incr_run = || run_phase(records, false, false, inspect);
+    let reference0 = reference_run();
     let incr0 = incr_run();
-    let identical = fingerprint(&eager0.alerts) == fingerprint(&incr0.alerts)
-        && eager0.stats.flows == incr0.stats.flows
-        && eager0.stats.kernel_msgs == incr0.stats.kernel_msgs;
+    let identical = fingerprint(&reference0.alerts) == fingerprint(&incr0.alerts)
+        && reference0.stats.flows == incr0.stats.flows
+        && reference0.stats.kernel_msgs == incr0.stats.kernel_msgs;
     assert!(
         identical,
-        "eager and incremental engines diverged: {} vs {} alerts",
-        eager0.alerts.len(),
+        "reference and incremental engine diverged: {} vs {} alerts",
+        reference0.alerts.len(),
         incr0.alerts.len()
     );
     assert!(
-        !eager0.alerts.is_empty(),
+        !reference0.alerts.is_empty(),
         "workload produced no alerts; the signature path is not being measured"
     );
     println!(
-        "bit-identity: {} alerts, {} kernel msgs, {} flows -> IDENTICAL across engines\n",
-        eager0.alerts.len(),
-        eager0.stats.kernel_msgs,
-        eager0.stats.flows
+        "bit-identity: {} alerts, {} kernel msgs, {} flows -> IDENTICAL to the reference\n",
+        reference0.alerts.len(),
+        reference0.stats.kernel_msgs,
+        reference0.stats.flows
     );
 
     // Timed phases: best-of-n wall clock; copy/alloc counters are
@@ -372,15 +384,15 @@ fn compare(
         }
         (last, wall)
     };
-    let alerts = eager0.alerts.len();
-    let (eager, eager_wall) = best_of(eager0, &eager_run);
+    let alerts = reference0.alerts.len();
+    let (reference, reference_wall) = best_of(reference0, &reference_run);
     let (incr, incr_wall) = best_of(incr0, &incr_run);
     Comparison {
         identical,
         alerts,
-        eager: phase_row(&eager, payload_bytes, records.len(), eager_wall),
+        reference: phase_row(&reference, payload_bytes, records.len(), reference_wall),
         incremental: phase_row(&incr, payload_bytes, records.len(), incr_wall),
-        eager_wall,
+        reference_wall,
         incr_wall,
     }
 }
@@ -419,11 +431,11 @@ fn main() {
     );
 
     let plain = compare(&records, payload_bytes, None, true, reps);
-    let (erow, irow) = (&plain.eager, &plain.incremental);
-    print_rows([("eager", erow), ("incremental", irow)]);
+    let (erow, irow) = (&plain.reference, &plain.incremental);
+    print_rows([("reference", erow), ("incremental", irow)]);
 
     let copy_reduction = 1.0 - irow.copies_per_byte / erow.copies_per_byte;
-    let throughput_ratio = plain.eager_wall / plain.incr_wall;
+    let throughput_ratio = plain.reference_wall / plain.incr_wall;
     let retained_ratio = irow.peak_retained_bytes as f64 / erow.peak_retained_bytes as f64;
     println!(
         "\nbytes copied per byte captured: {:.3} -> {:.3} ({:.0}% fewer)",
@@ -437,7 +449,7 @@ fn main() {
         irow.mb_per_sec.unwrap_or(f64::NAN)
     );
     println!(
-        "peak retained flow bytes: {} -> {} ({:.1}% of eager; bounded by the reorder window, not flow length)",
+        "peak retained flow bytes: {} -> {} ({:.1}% of the reference; bounded by the reorder window, not flow length)",
         erow.peak_retained_bytes,
         irow.peak_retained_bytes,
         retained_ratio * 100.0
@@ -454,11 +466,11 @@ fn main() {
     );
     assert!(
         irow.peak_retained_bytes < erow.peak_retained_bytes,
-        "incremental retention not below eager"
+        "incremental retention not below the reference"
     );
     assert!(
         irow.allocs_per_segment < erow.allocs_per_segment,
-        "incremental allocations/segment not below eager baseline"
+        "incremental allocations/segment not below the reference"
     );
     if !tiny {
         assert!(
@@ -478,12 +490,12 @@ fn main() {
         false,
         reps,
     );
-    let (ierow, iirow) = (&inspected.eager, &inspected.incremental);
-    print_rows([("eager", ierow), ("incremental", iirow)]);
-    let inspected_ratio = inspected.eager_wall / inspected.incr_wall;
+    let (ierow, iirow) = (&inspected.reference, &inspected.incremental);
+    print_rows([("reference", ierow), ("incremental", iirow)]);
+    let inspected_ratio = inspected.reference_wall / inspected.incr_wall;
     let inspected_retained = iirow.peak_retained_bytes as f64 / ierow.peak_retained_bytes as f64;
     println!(
-        "\ninspected throughput: {:.1} -> {:.1} MB/s ({inspected_ratio:.2}x); peak retained {} -> {} ({:.1}% of eager)",
+        "\ninspected throughput: {:.1} -> {:.1} MB/s ({inspected_ratio:.2}x); peak retained {} -> {} ({:.1}% of the reference)",
         ierow.mb_per_sec.unwrap_or(f64::NAN),
         iirow.mb_per_sec.unwrap_or(f64::NAN),
         ierow.peak_retained_bytes,
@@ -492,7 +504,7 @@ fn main() {
     );
     assert!(
         iirow.peak_retained_bytes < ierow.peak_retained_bytes,
-        "inspected incremental retention not below eager"
+        "inspected incremental retention not below the reference"
     );
 
     if json {
@@ -508,14 +520,14 @@ fn main() {
             copy_reduction,
             throughput_ratio: finite(throughput_ratio),
             retained_ratio,
-            eager: plain.eager,
+            eager: plain.reference,
             incremental: plain.incremental,
             inspected: InspectedReport {
                 segments: tls_records.len(),
                 payload_bytes: tls_bytes,
                 identical_alerts: inspected.identical,
                 alerts: inspected.alerts,
-                eager: inspected.eager,
+                eager: inspected.reference,
                 incremental: inspected.incremental,
                 throughput_ratio: finite(inspected_ratio),
                 retained_ratio: inspected_retained,

@@ -156,7 +156,9 @@ fn main() {
         let s = trace.summary();
         let monitor = Monitor::new(MonitorConfig::default());
         // Warm + best-of-N to keep numbers stable in a shared VM.
-        let seq_secs = ja_bench::best_of(reps, || monitor.analyze(&trace).1.elapsed_secs);
+        let seq_secs = ja_bench::best_of(reps, || {
+            ja_bench::monitor_only(&monitor, &trace, 1).1.elapsed_secs
+        });
         let par_secs = ja_bench::best_of(reps, || {
             let width = rayon::current_num_threads();
             ja_bench::monitor_only(&monitor, &trace, width)

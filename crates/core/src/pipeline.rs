@@ -353,26 +353,20 @@ impl Pipeline {
     }
 
     /// The monitor for one run/epoch: the configured rules/thresholds
-    /// wired with fleet knowledge (server attribution, TLS-inspection
-    /// secrets when granted, and full-capture audit tracing for
-    /// decoys). When an intel loop is live its feed handle replaces the
+    /// wired with fleet knowledge (server attribution and TLS-inspection
+    /// secrets when granted). Decoy flows are scanned like any other;
+    /// the intel loop mines decoys from kernel-audit items, not from
+    /// monitor buffers. When an intel loop is live its feed handle replaces the
     /// configured one, so signatures the loop learns hot-reload into
     /// this monitor's shards (the feed is a shared handle — cloning it
     /// shares state, it does not copy rules).
     fn fleet_monitor(&self, intel: Option<&IntelLoop>) -> Monitor {
         let mut mcfg = self.config.monitor.clone();
-        for (idx, srv) in self.deployment.servers.iter().enumerate() {
+        for srv in &self.deployment.servers {
             mcfg.server_ids.insert(srv.addr, srv.id);
             if self.config.tls_inspection {
                 mcfg.inspect_secrets
                     .insert(srv.addr, srv.transport_secret.clone());
-            }
-            // Decoy traffic is forensic evidence (the intel loop mines
-            // it for signatures): the monitor keeps those flows'
-            // payloads fully buffered to eviction instead of letting
-            // the incremental scanner drop consumed bytes.
-            if self.deployment.is_decoy(idx) {
-                mcfg.audit_trace_hosts.insert(srv.addr);
             }
         }
         if let Some(il) = intel {
@@ -1032,6 +1026,38 @@ mod tests {
         // The report's honeypot plane is nonzero.
         assert!(out.report.alerts_from(AlertSource::HoneypotIntel) > 0);
         assert!(!out.report.render().contains("honeypot 0"));
+    }
+
+    #[test]
+    fn decoy_session_is_scanned_not_held_whole() {
+        use ja_attackgen::benign::{self, BenignProfile};
+        // One decoy receiving one long notebook session, its only flow.
+        // Decoy flows are scanned like any other, so the monitor's peak
+        // retention stays far below that flow's payload volume instead
+        // of holding the flow whole until eviction.
+        let mut cfg = PipelineConfig::small_lab(77);
+        cfg.deployment.decoys = 1;
+        let mut p = Pipeline::new(cfg);
+        let decoy = p.deployment().decoy_indices().start;
+        let user = p.deployment().owner_of(decoy).to_string();
+        let profile = BenignProfile {
+            cells: 60,
+            download_prob: 0.0,
+            archive_prob: 0.0,
+            train_prob: 0.0,
+            ..Default::default()
+        };
+        let session = benign::session(decoy, &user, &profile, &mut SimRng::new(3));
+        let out = p.run_campaigns(vec![(SimTime::from_secs(10), session)], 7);
+        let s = &out.monitor_stats;
+        assert_eq!(s.flows, 1);
+        assert!(s.kernel_msgs > 100, "{} kernel messages", s.kernel_msgs);
+        assert!(
+            s.peak_retained_bytes * 4 < s.bytes,
+            "retained {} of the decoy flow's {} bytes",
+            s.peak_retained_bytes,
+            s.bytes
+        );
     }
 
     #[test]

@@ -97,7 +97,8 @@ fn incident_fingerprint(out: &RunOutcome) -> Vec<(AttackClass, SimTime, SimTime,
 
 /// The batch oracle: what one run must produce, computed from public
 /// calls on a materialized capture. The campaigns are executed to a
-/// full trace, the trace, the auth log and the kernel events are each
+/// full trace, the trace (by the monitor's full-buffer reference,
+/// `Monitor::analyze`), the auth log and the kernel events are each
 /// analyzed whole, configurations are scanned, and the alerts are
 /// sorted, grouped and scored the way the pipeline's tail does it. No
 /// intel loop: the property plans configure none.
@@ -106,14 +107,11 @@ fn batch_oracle(cfg: &PipelineConfig, campaigns: &[(SimTime, Campaign)], seed: u
     // The pipeline salts the plan seed before it drives the stream.
     let raw = execute(&mut d, campaigns, seed ^ 0xA0D17);
     let mut mcfg = cfg.monitor.clone();
-    for (idx, srv) in d.servers.iter().enumerate() {
+    for srv in &d.servers {
         mcfg.server_ids.insert(srv.addr, srv.id);
         if cfg.tls_inspection {
             mcfg.inspect_secrets
                 .insert(srv.addr, srv.transport_secret.clone());
-        }
-        if d.is_decoy(idx) {
-            mcfg.audit_trace_hosts.insert(srv.addr);
         }
     }
     let monitor = Monitor::new(mcfg);

@@ -142,7 +142,7 @@ fn parse_ws_side(bytes: &[u8], out: &mut Vec<ParsedKernelMsg>, opaque: &mut usiz
 /// Interpret one assembled WebSocket message as a kernel-protocol
 /// message: push a [`ParsedKernelMsg`] when the body decodes, count it
 /// opaque when it does not, skip control messages. Shared between the
-/// eager full-buffer path above and the incremental
+/// full-buffer path above and the incremental
 /// [`crate::scan::FlowScanner`] so both interpret identically.
 pub(crate) fn observe_ws_message(
     msg: &Message,

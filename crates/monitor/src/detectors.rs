@@ -218,8 +218,27 @@ pub fn feed_rule_hits(
     analysis: &FlowAnalysis,
     cache: &mut FeedCache,
 ) -> Vec<Alert> {
+    feed_rule_hits_scanned(features, analysis, cache, &ScanHits::default())
+}
+
+/// [`feed_rule_hits`] for a flow the incremental scanner analyzed:
+/// signature hits were already collected message-by-message as bytes
+/// arrived (single pass, under the feed generation current at arrival)
+/// and only need re-validation here. If the feed epoch moved between a
+/// payload's arrival and the flow's eviction, or no hits were stored
+/// for it, that payload is rescanned from the retained parsed string
+/// under the eviction-time snapshot — so output is identical to a scan
+/// of every payload at eviction, across mid-flow publishes.
+pub(crate) fn feed_rule_hits_scanned(
+    features: &FlowFeatures,
+    analysis: &FlowAnalysis,
+    cache: &mut FeedCache,
+    scanned: &ScanHits,
+) -> Vec<Alert> {
     let mut alerts = Vec::new();
     if cache.mode() == MatchMode::Naive {
+        // Naive mode never pre-scans (the scanner stores no hits): the
+        // reference walk needs only the parsed artifacts.
         cache
             .feed()
             .for_each_available(features.start, |rule| match &rule.pattern {
@@ -249,25 +268,31 @@ pub fn feed_rule_hits(
     if cache.is_empty() {
         return alerts;
     }
+    let generation = cache.generation();
     let (compiled, avail) = cache.parts();
-    // Collect (rule index, payload index) hit pairs from one automaton
-    // pass per payload, then sort: the naive walk emits rule-major
-    // (publish order), payload-minor, and a feed rule matches exactly
-    // one plane, so this ordering reproduces it bit-identically.
+    // Collect (rule index, payload index) hit pairs — stored, or from
+    // one automaton pass per payload — then sort: the naive walk emits
+    // rule-major (publish order), payload-minor, and a feed rule
+    // matches exactly one plane, so this ordering reproduces it
+    // bit-identically. Rule indices per payload are ascending either
+    // way (pattern ids map to rule indices order-preservingly).
     let mut scratch = Vec::new();
     let mut ids = Vec::new();
     let mut hits: Vec<(u32, u32)> = Vec::new();
     if let Some(hs) = &analysis.handshake {
-        ids.clear();
-        compiled.url_hit_indices(&hs.target, &mut scratch, &mut ids);
-        hits.extend(ids.iter().map(|&r| (r, 0)));
+        let stored = scanned.url.as_ref();
+        push_hits(&mut hits, 0, stored, generation, &mut ids, |ids| {
+            compiled.url_hit_indices(&hs.target, &mut scratch, ids)
+        });
     }
     for (mi, msg) in analysis.kernel_msgs.iter().enumerate() {
-        if let Some(code) = &msg.code {
-            ids.clear();
-            compiled.code_hit_indices(code, &mut scratch, &mut ids);
-            hits.extend(ids.iter().map(|&r| (r, mi as u32)));
-        }
+        let Some(code) = &msg.code else {
+            continue;
+        };
+        let stored = scanned.per_msg.get(mi).and_then(Option::as_ref);
+        push_hits(&mut hits, mi as u32, stored, generation, &mut ids, |ids| {
+            compiled.code_hit_indices(code, &mut scratch, ids)
+        });
     }
     if hits.is_empty() {
         return alerts;
@@ -295,89 +320,26 @@ pub fn feed_rule_hits(
     alerts
 }
 
-/// [`feed_rule_hits`] for a flow the incremental scanner analyzed:
-/// signature hits were already collected message-by-message as bytes
-/// arrived (single pass, under the feed generation current at arrival)
-/// and only need re-validation here. If the feed epoch moved between a
-/// payload's arrival and the flow's eviction, that payload is rescanned
-/// from the retained parsed string under the eviction-time snapshot —
-/// exactly the snapshot the eager path consults — so output stays
-/// bit-identical to [`feed_rule_hits`] across mid-flow publishes.
-pub(crate) fn feed_rule_hits_scanned(
-    features: &FlowFeatures,
-    analysis: &FlowAnalysis,
-    cache: &mut FeedCache,
-    scanned: &ScanHits,
-) -> Vec<Alert> {
-    if cache.mode() == MatchMode::Naive {
-        // Naive mode never pre-scans (the scanner stores no hits); the
-        // reference walk needs only the parsed artifacts, which the
-        // scanner retains.
-        return feed_rule_hits(features, analysis, cache);
-    }
-    let mut alerts = Vec::new();
-    cache.refresh();
-    if cache.is_empty() {
-        return alerts;
-    }
-    let generation = cache.generation();
-    let (compiled, avail) = cache.parts();
-    // Assemble the same (rule index, payload index) pairs the eager
-    // automaton pass produces: stored hits are ascending rule indices
-    // (pattern ids map to rule indices order-preservingly), and a
-    // fresh rescan yields the identical list.
-    let mut scratch = Vec::new();
-    let mut ids = Vec::new();
-    let mut hits: Vec<(u32, u32)> = Vec::new();
-    if let Some(hs) = &analysis.handshake {
-        match &scanned.url {
-            Some((gen, cached)) if *gen == generation => {
-                hits.extend(cached.iter().map(|&r| (r, 0)));
-            }
-            _ => {
-                ids.clear();
-                compiled.url_hit_indices(&hs.target, &mut scratch, &mut ids);
-                hits.extend(ids.iter().map(|&r| (r, 0)));
-            }
+/// Append one payload's `(rule index, payload index)` hit pairs: the
+/// stored rule indices when they were scanned under `generation`, else
+/// those a fresh `scan` appends to `ids`.
+fn push_hits(
+    hits: &mut Vec<(u32, u32)>,
+    payload: u32,
+    stored: Option<&(u64, Vec<u32>)>,
+    generation: u64,
+    ids: &mut Vec<u32>,
+    scan: impl FnOnce(&mut Vec<u32>),
+) {
+    let ids = match stored {
+        Some((gen, cached)) if *gen == generation => cached,
+        _ => {
+            ids.clear();
+            scan(ids);
+            ids
         }
-    }
-    for (mi, msg) in analysis.kernel_msgs.iter().enumerate() {
-        let Some(code) = &msg.code else {
-            continue;
-        };
-        match scanned.per_msg.get(mi) {
-            Some(Some((gen, cached))) if *gen == generation => {
-                hits.extend(cached.iter().map(|&r| (r, mi as u32)));
-            }
-            _ => {
-                ids.clear();
-                compiled.code_hit_indices(code, &mut scratch, &mut ids);
-                hits.extend(ids.iter().map(|&r| (r, mi as u32)));
-            }
-        }
-    }
-    if hits.is_empty() {
-        return alerts;
-    }
-    hits.sort_unstable();
-    for (r, _) in hits {
-        if avail[r as usize] > features.start {
-            continue;
-        }
-        let rule = compiled.rule(r);
-        alerts.push(match &rule.pattern {
-            Pattern::UrlSubstring(_) => rule_hit(features, rule, || {
-                let target = analysis
-                    .handshake
-                    .as_ref()
-                    .map(|hs| hs.target.as_str())
-                    .unwrap_or_default();
-                format!("rule {} on URL {}", rule.id, target)
-            }),
-            _ => rule_hit(features, rule, || format!("rule {} in cell code", rule.id)),
-        });
-    }
-    alerts
+    };
+    hits.extend(ids.iter().map(|&r| (r, payload)));
 }
 
 /// Cross-flow detectors: DNS-tunnel fan-out, scanner fan-out, rare

@@ -1,53 +1,33 @@
 //! The monitor engine: capture in, alerts out.
 //!
-//! Every entry point runs on the streaming core in [`crate::streaming`]:
+//! Production runs on the streaming core in [`crate::streaming`]:
 //! [`Monitor::analyze_stream`] analyzes a live feed on one engine or
 //! fans it out to per-shard engines by flow id — reassembly *and*
 //! per-flow analysis run shard-parallel with no global sort and no
 //! barrier between the stages — and merges their summaries for the
 //! cross-flow detectors (E5's "harness the supercomputer"
-//! configuration); `analyze` pushes a captured trace through one
-//! [`StreamingMonitor`].
+//! configuration). Every flow there is followed by the single-pass
+//! scanner.
+//!
+//! [`Monitor::analyze`] is the full-buffer reference: it reassembles a
+//! captured trace whole and runs the original analyzer chain
+//! ([`analyze_flow`]) on each flow's complete buffers. No production
+//! path calls it; the equivalence tests check the streaming engine
+//! against it.
 
 use crate::alerts::Alert;
-use crate::analyzers::{analyze_flow, FlowAnalysis};
+use crate::analyzers::analyze_flow;
 use crate::detectors::{self, Thresholds};
-use crate::features::{FlowFeatures, RateAcc};
+use crate::features::FlowFeatures;
 use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
-use crate::reassembly::FlowBuf;
+use crate::reassembly::Reassembler;
 use crate::rules::{RuleFeed, RuleSet};
-use crate::scan::FlowScanner;
-use crate::streaming::{StreamingConfig, StreamingMonitor};
+use crate::streaming::StreamSummary;
 use ja_kernelsim::hub::AuthEvent;
 use ja_netsim::addr::{FiveTuple, HostAddr};
 use ja_netsim::flow::FlowId;
 use ja_netsim::trace::Trace;
 use std::collections::{HashMap, HashSet};
-
-/// Which analysis path the streaming engine runs for flows that
-/// qualify for single-pass scanning: every flow except those of
-/// `audit_trace_hosts`, which always take the eager path regardless of
-/// mode. TLS-inspected flows qualify; the scanner decrypts them a
-/// chunk at a time once their plaintext attempt fails.
-///
-/// Both modes produce bit-identical alerts and statistics — the
-/// equivalence property tests drive them against each other over
-/// random captures — so [`ScanMode::Eager`] exists as the measurable
-/// reference, not as a behavioural option.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Retain every delivered byte; parse and scan the full buffers at
-    /// eviction (the original path, kept as the baseline the
-    /// `e12_hotpath` bench and the proptests compare against).
-    Eager,
-    /// Analyze in-order bytes as the reassembler delivers them and
-    /// drop them immediately; per-flow retention is bounded by the
-    /// reorder window instead of flow length. A TLS-inspected flow
-    /// also holds its chunks until its first upstream bytes decide
-    /// between plaintext and decryption.
-    #[default]
-    Incremental,
-}
 
 /// Monitor configuration.
 #[derive(Clone, Debug)]
@@ -70,13 +50,10 @@ pub struct MonitorConfig {
     /// naive linear scans, kept as a measurable baseline for the
     /// `e7_rulescale` bench and the equivalence property tests.
     pub match_mode: MatchMode,
-    /// Whether qualifying flows are analyzed single-pass as bytes
-    /// arrive ([`ScanMode::Incremental`], the default) or buffered in
-    /// full and analyzed at eviction ([`ScanMode::Eager`]).
-    pub scan_mode: ScanMode,
-    /// Hosts whose flows are captured in full for forensic audit
-    /// (e.g. honeypot decoys): their payload buffers are always
-    /// retained to eviction, never dropped by the incremental scanner.
+    /// Not read by the monitor: every flow is scanned single-pass. Kept
+    /// only because the frozen benchmark harness still writes and reads
+    /// it; delete it with the next benchmark change, like
+    /// `run_campaigns_streamed*`.
     pub audit_trace_hosts: HashSet<HostAddr>,
     /// Degraded-mode load shedding: per-flow alerts with confidence
     /// strictly below this floor are dropped at the shard (before
@@ -96,7 +73,6 @@ impl Default for MonitorConfig {
             inspect_secrets: HashMap::new(),
             server_ids: HashMap::new(),
             match_mode: MatchMode::default(),
-            scan_mode: ScanMode::default(),
             audit_trace_hosts: HashSet::new(),
             confidence_floor: 0.0,
         }
@@ -107,12 +83,6 @@ impl MonitorConfig {
     /// Grant TLS inspection for a server.
     pub fn with_inspection(mut self, addr: HostAddr, secret: Vec<u8>) -> Self {
         self.inspect_secrets.insert(addr, secret);
-        self
-    }
-
-    /// Capture `addr`'s flows in full for forensic audit.
-    pub fn with_audit_trace(mut self, addr: HostAddr) -> Self {
-        self.audit_trace_hosts.insert(addr);
         self
     }
 }
@@ -135,9 +105,10 @@ pub struct MonitorStats {
     /// Kernel messages recovered.
     pub kernel_msgs: u64,
     /// High-water mark of concurrently retained (live) flows. For the
-    /// batch wrappers this equals `flows`; a streaming engine with
-    /// eviction keeps it bounded by concurrency, not capture size. For
-    /// the sharded path it is the sum of per-shard peaks.
+    /// full-buffer reference and a batch-mode engine this is every flow
+    /// of the capture; a streaming engine with eviction keeps it
+    /// bounded by concurrency, not capture size. For the sharded path
+    /// it is the sum of per-shard peaks.
     pub peak_live_flows: u64,
     /// Per-flow alerts dropped by the degraded-mode confidence floor
     /// ([`MonitorConfig::confidence_floor`]). Zero unless the service
@@ -145,11 +116,12 @@ pub struct MonitorStats {
     pub shed_alerts: u64,
     /// High-water mark of raw payload bytes retained across all live
     /// flows (reassembly buffers + reorder pendings + incremental
-    /// decoder buffers). Under [`ScanMode::Incremental`] this is
-    /// bounded by the reorder window of concurrently-live flows, plus
-    /// the chunks a TLS-inspected flow holds until its first upstream
-    /// bytes decide between plaintext and decryption; under
-    /// [`ScanMode::Eager`] it tracks total live flow volume. For the
+    /// decoder buffers). For a streaming engine this is bounded by the
+    /// reorder window of concurrently-live flows, plus the chunks a
+    /// TLS-inspected flow holds until its first upstream bytes decide
+    /// between plaintext and decryption — decoy flows included. The
+    /// full-buffer reference [`Monitor::analyze`] holds the whole
+    /// capture, so there it is the capture's delivered volume. For the
     /// sharded path it is the sum of per-shard peaks. Deterministic
     /// (no wall-clock input), so it participates in checkpoint
     /// verification.
@@ -182,18 +154,6 @@ impl Monitor {
         Monitor { config }
     }
 
-    /// May a flow with this tuple be analyzed single-pass with early
-    /// byte-drop? Decided once, from the flow's first record. Only
-    /// flows of audit-traced hosts, which are captured in full for
-    /// forensics, take the eager path; TLS-inspected flows are scanned
-    /// too, decrypted a chunk at a time once their plaintext attempt
-    /// fails.
-    pub(crate) fn scan_eligible(&self, tuple: &FiveTuple) -> bool {
-        self.config.scan_mode == ScanMode::Incremental
-            && !self.config.audit_trace_hosts.contains(&tuple.dst)
-            && !self.config.audit_trace_hosts.contains(&tuple.src)
-    }
-
     /// The inspection secret for a flow with this tuple: its
     /// responder's if granted, else its initiator's (a server that
     /// opened the flow).
@@ -217,7 +177,7 @@ impl Monitor {
     }
 
     /// Compile this monitor's static rule set for its configured match
-    /// mode. Each [`StreamingMonitor`] (one per shard) builds its own.
+    /// mode. Each streaming engine (one per shard) builds its own.
     pub(crate) fn compile_rules(&self) -> CompiledRuleSet {
         CompiledRuleSet::compile(&self.config.rules, self.config.match_mode)
     }
@@ -227,59 +187,40 @@ impl Monitor {
         FeedCache::new(self.config.intel.clone(), self.config.match_mode)
     }
 
-    pub(crate) fn flow_work(
-        &self,
-        id: u64,
-        buf: &FlowBuf,
-        rules: &CompiledRuleSet,
-        intel: &mut FeedCache,
-    ) -> Option<(FlowFeatures, FlowAnalysis, Vec<Alert>)> {
-        let ff = FlowFeatures::from_flow(id, buf)?;
-        let secret = buf.tuple.as_ref().and_then(|t| self.secret_for(t));
-        let analysis = analyze_flow(FlowId(id), buf, secret);
-        let mut alerts = detectors::per_flow(&ff, &analysis, rules, &self.config.thresholds);
-        // Hot-reloaded intel: only rules that had propagated before this
-        // flow began may match it (no retroactive alerts). The guard is
-        // a lock-free epoch check, so an idle feed costs nothing.
-        if !self.config.intel.is_empty() {
-            alerts.extend(detectors::feed_rule_hits(&ff, &analysis, intel));
-        }
-        Some((ff, analysis, alerts))
-    }
-
-    /// [`Monitor::flow_work`] for a flow the incremental scanner
-    /// followed byte-by-byte: features come from the fold-as-you-go
-    /// [`RateAcc`], analysis and signature hits from the scanner —
-    /// the flow's raw bytes are already gone. Output is bit-identical
-    /// to [`Monitor::flow_work`] on the same (fully retained) flow.
-    pub(crate) fn scanned_flow_work(
-        &self,
-        id: u64,
-        buf: &FlowBuf,
-        scanner: FlowScanner,
-        acc: &RateAcc,
-        rules: &CompiledRuleSet,
-        intel: &mut FeedCache,
-    ) -> Option<(FlowFeatures, FlowAnalysis, Vec<Alert>)> {
-        let ff = acc.finish(id, buf)?;
-        let (analysis, hits) = scanner.finalize(intel);
-        let mut alerts = detectors::per_flow(&ff, &analysis, rules, &self.config.thresholds);
-        if !self.config.intel.is_empty() {
-            alerts.extend(detectors::feed_rule_hits_scanned(
-                &ff, &analysis, intel, &hits,
-            ));
-        }
-        Some((ff, analysis, alerts))
-    }
-
-    /// Analyze a capture sequentially: the streaming core in batch
-    /// (no-early-eviction) mode, one engine, one pass.
+    /// The full-buffer reference engine: reassemble the whole capture,
+    /// then analyze each flow in id order from its complete buffers —
+    /// [`FlowFeatures::from_flow`], [`analyze_flow`] with the flow's
+    /// inspection secret, the per-flow detectors and the intel feed —
+    /// and finish like a streaming engine. It holds every flow to the
+    /// end, so it is a test and bench oracle, not a production path
+    /// (that is [`Monitor::analyze_stream`]). Its alerts and counts
+    /// equal the streaming engine's whenever the eviction policy
+    /// preserves equivalence.
     pub fn analyze(&self, trace: &Trace) -> (Vec<Alert>, MonitorStats) {
-        let mut sm = StreamingMonitor::new(self, StreamingConfig::batch());
-        for r in trace.records() {
-            sm.push(r);
+        let started = std::time::Instant::now();
+        let mut reassembler = Reassembler::new();
+        reassembler.feed_trace(trace);
+        let mut summary = StreamSummary::default();
+        summary.stats.segments = reassembler.records_in;
+        let mut flows: Vec<_> = reassembler.into_flows().into_iter().collect();
+        flows.sort_unstable_by_key(|&(id, _)| id);
+        summary.stats.peak_live_flows = flows.len() as u64;
+        summary.stats.peak_retained_bytes = flows.iter().map(|(_, b)| b.retained_bytes()).sum();
+        let rules = self.compile_rules();
+        let mut intel = self.feed_cache();
+        for (id, buf) in &flows {
+            let Some(ff) = FlowFeatures::from_flow(*id, buf) else {
+                continue;
+            };
+            let secret = buf.tuple.as_ref().and_then(|t| self.secret_for(t));
+            let analysis = analyze_flow(FlowId(*id), buf, secret);
+            let mut alerts = detectors::per_flow(&ff, &analysis, &rules, &self.config.thresholds);
+            if !self.config.intel.is_empty() {
+                alerts.extend(detectors::feed_rule_hits(&ff, &analysis, &mut intel));
+            }
+            summary.add_flow(self, ff, &analysis, alerts);
         }
-        sm.finish()
+        self.finish_summaries(vec![summary], started)
     }
 
     /// Analyze the hub auth log.
@@ -304,6 +245,7 @@ pub fn shard_of(flow_id: u64, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::StreamingConfig;
     use ja_attackgen::campaign::execute;
     use ja_attackgen::{exfiltration, AttackClass};
     use ja_kernelsim::deployment::{Deployment, DeploymentSpec};

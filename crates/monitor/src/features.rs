@@ -40,7 +40,7 @@ impl FlowFeatures {
     ///
     /// Internally replays the flow's segment metadata through
     /// [`RateAcc`] — the same accumulator the incremental scanner folds
-    /// segment-by-segment — so the eager and single-pass paths share
+    /// segment-by-segment — so the full-buffer and single-pass paths share
     /// one float pipeline and agree bit for bit.
     pub fn from_flow(flow_id: u64, buf: &FlowBuf) -> Option<FlowFeatures> {
         let mut acc = RateAcc::new();

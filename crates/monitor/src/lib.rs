@@ -38,7 +38,7 @@ mod scan;
 pub mod streaming;
 
 pub use alerts::{Alert, AlertSource};
-pub use engine::{shard_of, Monitor, MonitorConfig, MonitorStats, ScanMode};
+pub use engine::{shard_of, Monitor, MonitorConfig, MonitorStats};
 pub use features::FlowFeatures;
 pub use matcher::{CompiledRuleSet, FeedCache, MatchMode, MatcherState, PatternMatcher};
 pub use streaming::{MonitorShardSnapshot, StreamingConfig, StreamingMonitor};

@@ -451,26 +451,6 @@ impl CompiledRuleSet {
     pub(crate) fn rule(&self, idx: u32) -> &Rule {
         &self.rules[idx as usize]
     }
-
-    /// The code-plane automaton, for resumable scanning.
-    pub(crate) fn code_matcher(&self) -> &PatternMatcher {
-        &self.code.ac
-    }
-
-    /// The URL-plane automaton, for resumable scanning.
-    pub(crate) fn url_matcher(&self) -> &PatternMatcher {
-        &self.url.ac
-    }
-
-    /// Map a code-plane pattern id to its rule index.
-    pub(crate) fn code_rule_index(&self, pid: u32) -> u32 {
-        self.code.rule_of[pid as usize]
-    }
-
-    /// Map a URL-plane pattern id to its rule index.
-    pub(crate) fn url_rule_index(&self, pid: u32) -> u32 {
-        self.url.rule_of[pid as usize]
-    }
 }
 
 /// A per-consumer generation-cached compiled snapshot of a

@@ -29,16 +29,16 @@ pub enum SegmentDisposition {
 ///
 /// Out-of-order segments are stashed as zero-copy [`PayloadBytes`]
 /// slices of the captured record — the reorder window costs refcounts,
-/// not copies. When `retain_data` is off (incremental scanning of a
-/// flow that qualifies for early byte-drop), delivered in-order bytes
-/// are handed to the caller's `delivered` sink and **not** appended to
-/// `data`, so retention is bounded by the reorder window instead of
-/// the flow length.
+/// not copies. When `retain_data` is off (the streaming engine's
+/// single-pass scan of every flow), delivered in-order bytes are handed
+/// to the caller's `delivered` sink and **not** appended to `data`, so
+/// retention is bounded by the reorder window instead of the flow
+/// length.
 #[derive(Debug)]
 pub struct StreamState {
     /// Delivered contiguous bytes (empty when `retain_data` is off).
     pub data: Vec<u8>,
-    /// Keep delivered bytes in `data` (the eager/full-buffer default).
+    /// Keep delivered bytes in `data` (the full-buffer default).
     retain_data: bool,
     /// Next expected offset.
     next: u64,

@@ -1,13 +1,14 @@
 //! Single-pass incremental flow scanning — analyze bytes as they
 //! arrive, then drop them.
 //!
-//! The eager path ([`crate::analyzers::analyze_flow`]) retains every
-//! delivered byte of a flow until eviction and only then parses and
-//! scans the full buffers front to back, so peak memory tracks flow
-//! *length*. [`FlowScanner`] runs the same analyzer chain — HTTP
-//! upgrade → WebSocket framing → Jupyter wire → signature matching →
-//! rate features — over the in-order chunks the reassembler delivers,
-//! as it delivers them. A scanned flow then retains only:
+//! The full-buffer analyzer ([`crate::analyzers::analyze_flow`])
+//! needs every delivered byte of a flow retained until eviction and
+//! only then parses and scans the complete buffers front to back, so
+//! peak memory tracks flow *length*. [`FlowScanner`] runs the same
+//! analyzer chain — HTTP upgrade → WebSocket framing → Jupyter wire →
+//! signature matching → rate features — over the in-order chunks the
+//! reassembler delivers, as it delivers them. A scanned flow then
+//! retains only:
 //!
 //! - the reorder window (out-of-order pendings, zero-copy slices),
 //! - unconsumed decoder buffers (partial frame/message, pre-handshake
@@ -15,21 +16,23 @@
 //! - on a TLS-inspected flow, the delivered chunks held (zero-copy)
 //!   while its plaintext attempt is undecided,
 //! - parsed artifacts (kernel messages, handshake, feature
-//!   accumulators) — which the eager path retains too.
+//!   accumulators) — which the full-buffer path retains too.
 //!
 //! # When a flow qualifies
 //!
-//! Under [`crate::engine::ScanMode::Incremental`] every flow is scanned
-//! here except **audit-traced flows**: hosts in `audit_trace_hosts`
-//! (e.g. honeypot decoys) are captured in full for forensics, so their
-//! flows keep the eager path. The decision is made once, when the
-//! flow's first record arrives — never mid-stream — and so is the
-//! choice of inspection secret (`inspect_secrets` of either endpoint).
+//! Every flow the streaming engine sees is scanned here: plaintext,
+//! TLS-inspected, opaque and honeypot-decoy flows alike. Decoy traffic
+//! is hostile by construction, so the scanner must not trust a byte of
+//! it. The inspection secret (`inspect_secrets` of either endpoint) is
+//! chosen once, when the flow's first record arrives — never
+//! mid-stream. The full-buffer path survives only as the reference
+//! [`crate::engine::Monitor::analyze`], which the equivalence tests
+//! check the scanner against.
 //!
 //! # TLS-inspected flows
 //!
-//! The eager rule is "parse as plaintext; if that fails and a secret
-//! is granted, decrypt both directions and parse again". The
+//! The full-buffer rule is "parse as plaintext; if that fails and a
+//! secret is granted, decrypt both directions and parse again". The
 //! transport cipher is a ChaCha20 stream keyed per (secret, flow,
 //! direction), so the scanner follows the same rule a chunk at a time:
 //!
@@ -49,21 +52,21 @@
 //!   well: the flow is opaque whatever follows.
 //! - A flow still **undecided at eviction** (no terminator ever
 //!   arrived) replays through the decrypting scanner then, as the
-//!   eager path falls back.
+//!   full-buffer path falls back.
 //!
 //! The entropy feature is always taken over the raw upstream bytes.
 //!
-//! # Bit-identity with the eager path
+//! # Bit-identity with the full-buffer path
 //!
 //! Every divergence the chunked replay could introduce is pinned to
-//! the eager semantics, and the equivalence proptests drive both paths
-//! over random splits/reorderings/duplicates:
+//! the full-buffer semantics, and the equivalence proptests drive both
+//! paths over random splits/reorderings/duplicates and arbitrary bytes:
 //!
 //! - The upstream header is buffered until the first CRLFCRLF, so the
 //!   header search and UTF-8/parse validation see exactly the bytes
-//!   the eager full-buffer search sees. An upstream that cannot start
+//!   the full-buffer search sees. An upstream that cannot start
 //!   with `"GET "` is rejected at once, since the parse would reject it.
-//! - The eager path feeds a whole side to the frame decoder in one
+//! - The full-buffer path feeds a whole side to the frame decoder in one
 //!   call, so a decode error drops *every* frame of that side and
 //!   counts one opaque unit. The scanner mirrors that: on the first
 //!   decode error it clears the side's accumulated messages and
@@ -73,14 +76,14 @@
 //! - Signature hits are matched at message arrival under the intel
 //!   generation current *then*, and re-validated at eviction: if the
 //!   feed epoch moved since, the retained code string is rescanned
-//!   under the eviction-time snapshot — exactly the snapshot the eager
-//!   path would have used.
+//!   under the eviction-time snapshot — exactly the snapshot the
+//!   full-buffer path would have used.
 
 use crate::analyzers::{
     classify_visibility, find_double_crlf, observe_ws_message, FlowAnalysis, ParsedKernelMsg,
     Visibility,
 };
-use crate::matcher::{FeedCache, MatchMode};
+use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_kernelsim::server::transport_seed;
@@ -96,7 +99,7 @@ const UPGRADE_PREFIX: &[u8] = b"GET ";
 
 /// Signature hits collected incrementally, with the feed generation
 /// they were scanned under. Consumed by
-/// [`crate::detectors::feed_rule_hits`], which re-validates the
+/// [`crate::detectors::feed_rule_hits_scanned`], which re-validates the
 /// generation at eviction time.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ScanHits {
@@ -119,11 +122,11 @@ enum SidePhase {
     Ws {
         dec: FrameDecoder,
         asm: MessageAssembler,
-        /// A decode error froze this side (eager drops the whole side).
+        /// A decode error froze this side (the full-buffer path drops the whole side).
         failed: bool,
     },
     /// The upstream header failed UTF-8 or upgrade-request validation:
-    /// the whole flow is non-WebSocket (eager `try_parse` → `None`).
+    /// the whole flow is non-WebSocket (full-buffer `try_parse` → `None`).
     Rejected,
 }
 
@@ -168,7 +171,7 @@ impl SideScan {
 #[derive(Debug)]
 pub(crate) struct FlowScanner {
     /// Upstream byte histogram (entropy feature) — fed every delivered
-    /// raw upstream byte, mirroring the eager scan of `up.data`.
+    /// raw upstream byte, mirroring the full-buffer scan of `up.data`.
     stats: ByteStats,
     /// The protocol chain, reading whichever bytes `inspect` selects.
     proto: ProtoScan,
@@ -248,9 +251,9 @@ impl FlowScanner {
         self.proto.buffered() + held as u64
     }
 
-    /// Finalize into the same shape the eager analyzer produces, plus
+    /// Finalize into the same shape the full-buffer analyzer produces, plus
     /// the incrementally-collected signature hits. A plaintext attempt
-    /// still undecided falls back to decryption here, as the eager
+    /// still undecided falls back to decryption here, as the full-buffer
     /// path does when the plaintext header never terminated.
     pub(crate) fn finalize(mut self, intel: &mut FeedCache) -> (FlowAnalysis, ScanHits) {
         if let Some(held) = self.take_held() {
@@ -458,7 +461,7 @@ impl ProtoScan {
             let Some(header_end) = scan_crlfcrlf(buf, searched) else {
                 return;
             };
-            // Validate exactly as the eager path: UTF-8 over the header
+            // Validate exactly as the full-buffer path: UTF-8 over the header
             // (CRLFCRLF included), then upgrade-request parse. Failure
             // rejects the whole flow.
             let parsed = std::str::from_utf8(&buf[..header_end])
@@ -468,7 +471,7 @@ impl ProtoScan {
                 self.reject();
                 return;
             };
-            self.url_hits = scan_url_plane(&hs.target, intel);
+            self.url_hits = scan_plane(&hs.target, intel, CompiledRuleSet::url_hit_indices);
             self.handshake = Some(hs);
             let rest = buf[header_end..].to_vec();
             self.up.phase = SidePhase::Ws {
@@ -488,7 +491,7 @@ impl ProtoScan {
         }
         if let SidePhase::Header { buf, searched } = &mut self.down.phase {
             buf.extend_from_slice(bytes);
-            // The eager path applies no validation to the downstream
+            // The full-buffer path applies no validation to the downstream
             // header (the 101 response) — everything after its CRLFCRLF
             // is frame data.
             let Some(header_end) = scan_crlfcrlf(buf, searched) else {
@@ -524,7 +527,7 @@ impl ProtoScan {
     }
 
     fn finalize(self, up_entropy_bits: f64) -> (FlowAnalysis, ScanHits) {
-        // No upstream handshake ⇒ the eager `try_parse` returns None ⇒
+        // No upstream handshake ⇒ the full-buffer `try_parse` returns None ⇒
         // everything is opaque (messages a side may have produced are
         // irrelevant because without an up-header none are produced).
         if self.rejected || self.handshake.is_none() {
@@ -588,7 +591,7 @@ fn feed_ws(side: &mut SideScan, bytes: &[u8], intel: &mut FeedCache) {
     let frames = match dec.feed(bytes) {
         Ok(frames) => frames,
         Err(_) => {
-            // The eager path feeds the whole side in one call, so an
+            // The full-buffer path feeds the whole side in one call, so an
             // error anywhere drops every frame of the side and counts
             // exactly one opaque unit. Mirror that by retracting
             // everything this side accumulated.
@@ -609,49 +612,28 @@ fn feed_ws(side: &mut SideScan, bytes: &[u8], intel: &mut FeedCache) {
             let hits = side.msgs[before]
                 .code
                 .as_deref()
-                .and_then(|code| scan_code_plane(code, intel));
+                .and_then(|code| scan_plane(code, intel, CompiledRuleSet::code_hit_indices));
             side.hits.push(hits);
         }
     }
 }
 
-/// Scan a kernel message's code against the intel feed's code plane
-/// under the current generation, via the resumable matcher. `None` in
-/// naive mode (the naive path rescans at eviction from the feed lock).
-fn scan_code_plane(code: &str, intel: &mut FeedCache) -> Option<(u64, Vec<u32>)> {
+/// Scan `text` against one plane of the intel feed under the current
+/// generation. `plane` is that plane's lookup — its automaton and
+/// pattern-id → rule-index map — such as
+/// [`CompiledRuleSet::code_hit_indices`]. `None` in naive mode (the
+/// naive path rescans at eviction from the feed lock).
+fn scan_plane(
+    text: &str,
+    intel: &mut FeedCache,
+    plane: fn(&CompiledRuleSet, &str, &mut Vec<u32>, &mut Vec<u32>),
+) -> Option<(u64, Vec<u32>)> {
     if intel.mode() == MatchMode::Naive {
         return None;
     }
     intel.refresh();
-    let (compiled, _) = intel.parts();
-    let ac = compiled.code_matcher();
-    let mut st = ac.begin();
-    ac.feed(&mut st, code.as_bytes());
-    let mut pids = Vec::new();
-    ac.finish_into(&mut st, &mut pids);
-    let ids = pids
-        .iter()
-        .map(|&pid| compiled.code_rule_index(pid))
-        .collect();
-    Some((intel.generation(), ids))
-}
-
-/// URL-plane counterpart of [`scan_code_plane`].
-fn scan_url_plane(target: &str, intel: &mut FeedCache) -> Option<(u64, Vec<u32>)> {
-    if intel.mode() == MatchMode::Naive {
-        return None;
-    }
-    intel.refresh();
-    let (compiled, _) = intel.parts();
-    let ac = compiled.url_matcher();
-    let mut st = ac.begin();
-    ac.feed(&mut st, target.as_bytes());
-    let mut pids = Vec::new();
-    ac.finish_into(&mut st, &mut pids);
-    let ids = pids
-        .iter()
-        .map(|&pid| compiled.url_rule_index(pid))
-        .collect();
+    let (mut scratch, mut ids) = (Vec::new(), Vec::new());
+    plane(intel.parts().0, text, &mut scratch, &mut ids);
     Some((intel.generation(), ids))
 }
 

@@ -1,26 +1,28 @@
 //! Streaming monitor core — flows in, alerts out, memory bounded by
 //! *live* flows.
 //!
-//! [`StreamingMonitor`] consumes [`SegmentRecord`]s one at a time and
-//! evicts a flow — runs the analyzers and per-flow detectors, keeps only
-//! its compact [`FlowFeatures`] summary — as soon as the flow closes
-//! (FIN/RST plus a short reorder linger) or goes idle. Reassembly
-//! memory (payload buffers, pending segments, timing vectors) is
-//! therefore proportional to concurrently-*live* flows, not to capture
-//! size; what grows with the capture is only the small per-flow feature
-//! summary the cross-flow detectors need at [`StreamingMonitor::finish`]
-//! (plus per-flow alerts until they are drained). That is what lets the
-//! sensor run online against unbounded traffic (the paper's E5
-//! "unsustainable overhead" lesson).
+//! [`StreamingMonitor`] consumes [`SegmentRecord`]s one at a time.
+//! Every flow is followed by the single-pass scanner: in-order bytes
+//! are analyzed as the reassembler delivers them and then dropped, and
+//! rate features are folded as segments arrive. A flow is evicted — its analysis finalized, the
+//! per-flow detectors run, only its compact [`FlowFeatures`] summary
+//! kept — as soon as it closes (FIN/RST plus a short reorder linger) or
+//! goes idle. Per-flow memory is therefore bounded by the reorder
+//! window, and the live table by concurrently-*live* flows, not by
+//! capture size; what grows with the capture is only the small per-flow
+//! feature summary the cross-flow detectors need at
+//! [`StreamingMonitor::finish`] (plus per-flow alerts until they are
+//! drained). That is what lets the sensor run online against unbounded
+//! traffic (the paper's E5 "unsustainable overhead" lesson).
 //!
 //! [`Monitor::analyze_stream`] drives one engine inline or fans a live
-//! feed out to one engine per flow-hash shard and merges the results;
-//! [`Monitor::analyze`] is a thin adapter that pushes a captured trace
-//! through one engine. Every entry point shares this implementation and
-//! produces one alert set.
+//! feed out to one engine per flow-hash shard and merges the results.
+//! Every production entry point shares this implementation and produces
+//! one alert set. [`Monitor::analyze`] is the independent full-buffer
+//! reference the equivalence tests check it against.
 
 use crate::alerts::Alert;
-use crate::analyzers::Visibility;
+use crate::analyzers::{FlowAnalysis, Visibility};
 use crate::detectors;
 use crate::engine::{Monitor, MonitorStats};
 use crate::features::{FlowFeatures, RateAcc};
@@ -58,10 +60,10 @@ impl StreamingConfig {
         }
     }
 
-    /// Batch mode: never evict early. Every flow is retained until
+    /// Batch mode: never evict early. Every flow stays live until
     /// [`StreamingMonitor::finish`], which makes the result identical
-    /// to offline analysis on arbitrarily reordered captures — this is
-    /// what [`Monitor::analyze`] uses.
+    /// to the full-buffer reference [`Monitor::analyze`] on arbitrarily
+    /// reordered captures.
     pub fn batch() -> Self {
         StreamingConfig {
             idle_timeout: None,
@@ -125,12 +127,10 @@ struct LiveFlow {
     buf: FlowBuf,
     /// Capture time of the newest record on this flow.
     last_seen: SimTime,
-    /// Single-pass state for flows that qualify for incremental
-    /// scanning with early byte-drop ([`Monitor::scan_eligible`],
-    /// decided at flow creation); `None` = eager full-buffer path.
-    /// Boxed: the scanner carries a 2 KiB entropy histogram, which
-    /// eager flows shouldn't pay for in the live table.
-    scan: Option<Box<ScanState>>,
+    /// The flow's single-pass analyzers. Boxed: the scanner carries a
+    /// 2 KiB entropy histogram, which would otherwise be moved on every
+    /// live-table rehash.
+    scan: Box<ScanState>,
 }
 
 /// The incremental analyzer pair for one lean flow: the protocol
@@ -156,6 +156,40 @@ pub(crate) struct StreamSummary {
     pub(crate) features: Vec<FlowFeatures>,
     pub(crate) alerts: Vec<Alert>,
     pub(crate) stats: MonitorStats,
+}
+
+impl StreamSummary {
+    /// Fold one analyzed flow in: shed per-flow alerts under the
+    /// degraded-mode confidence floor, count the flow, attribute and
+    /// keep the rest of its alerts and its feature summary.
+    pub(crate) fn add_flow(
+        &mut self,
+        monitor: &Monitor,
+        ff: FlowFeatures,
+        analysis: &FlowAnalysis,
+        mut alerts: Vec<Alert>,
+    ) {
+        // Degraded-mode load shedding: drop low-severity per-flow alerts
+        // right at the shard, before attribution and downstream work.
+        let floor = monitor.config.confidence_floor;
+        if floor > 0.0 {
+            let before = alerts.len();
+            alerts.retain(|a| a.confidence >= floor);
+            self.stats.shed_alerts += (before - alerts.len()) as u64;
+        }
+        let stats = &mut self.stats;
+        stats.flows += 1;
+        stats.bytes += ff.bytes_up + ff.bytes_down;
+        stats.kernel_msgs += analysis.kernel_msgs.len() as u64;
+        match analysis.visibility {
+            Visibility::FullContent => stats.full_content_flows += 1,
+            Visibility::FramingOnly => stats.framing_only_flows += 1,
+            Visibility::Opaque => stats.opaque_flows += 1,
+        }
+        self.alerts
+            .extend(alerts.into_iter().map(|a| monitor.attribute(a)));
+        self.features.push(ff);
+    }
 }
 
 /// Serializable live state of one [`StreamingMonitor`] shard at a
@@ -252,57 +286,47 @@ impl<'m> StreamingMonitor<'m> {
         let monitor = self.monitor;
         let lf = self.live.entry(rec.flow_id).or_insert_with(|| {
             let mut buf = FlowBuf::default();
-            // Qualification is decided here, once, from the flow's
-            // first record — every record carries the five-tuple, so
-            // reordered captures decide identically.
-            let scan = monitor.scan_eligible(&rec.tuple).then(|| {
-                buf.set_lean();
-                Box::new(ScanState {
-                    scanner: FlowScanner::new(FlowId(rec.flow_id), monitor.secret_for(&rec.tuple)),
-                    acc: RateAcc::new(),
-                })
-            });
+            buf.set_lean();
+            // The inspection secret is chosen here, once, from the
+            // flow's first record — every record carries the
+            // five-tuple, so reordered captures choose identically.
+            let scanner = FlowScanner::new(FlowId(rec.flow_id), monitor.secret_for(&rec.tuple));
             LiveFlow {
                 buf,
                 last_seen: rec.time,
-                scan,
+                scan: Box::new(ScanState {
+                    scanner,
+                    acc: RateAcc::new(),
+                }),
             }
         });
         lf.last_seen = lf.last_seen.max(rec.time);
-        match lf.scan.as_deref_mut() {
-            Some(scan) => {
-                let before = scan.retained_with(&lf.buf);
-                self.scratch_up.clear();
-                self.scratch_down.clear();
-                let outcome = lf
-                    .buf
-                    .absorb_with(rec, &mut self.scratch_up, &mut self.scratch_down);
-                // Fold rate features off the same pass; up/down
-                // subsequences each keep arrival order, which is all
-                // the accumulator is sensitive to.
-                if outcome.up_new {
-                    scan.acc.on_up(rec.time, rec.wire_len);
-                }
-                if outcome.down_new {
-                    scan.acc.on_down(rec.time, rec.wire_len);
-                }
-                for chunk in self.scratch_up.drain(..) {
-                    scan.scanner
-                        .feed_up(&chunk, &mut self.intel, &mut self.decrypt_buf);
-                }
-                for chunk in self.scratch_down.drain(..) {
-                    scan.scanner
-                        .feed_down(&chunk, &mut self.intel, &mut self.decrypt_buf);
-                }
-                let after = scan.retained_with(&lf.buf);
-                self.retained_now = self.retained_now - before + after;
-            }
-            None => {
-                let before = lf.buf.retained_bytes();
-                lf.buf.absorb(rec);
-                self.retained_now = self.retained_now - before + lf.buf.retained_bytes();
-            }
+        let scan = &mut *lf.scan;
+        let before = scan.retained_with(&lf.buf);
+        self.scratch_up.clear();
+        self.scratch_down.clear();
+        let outcome = lf
+            .buf
+            .absorb_with(rec, &mut self.scratch_up, &mut self.scratch_down);
+        // Fold rate features off the same pass; up/down subsequences
+        // each keep arrival order, which is all the accumulator is
+        // sensitive to.
+        if outcome.up_new {
+            scan.acc.on_up(rec.time, rec.wire_len);
         }
+        if outcome.down_new {
+            scan.acc.on_down(rec.time, rec.wire_len);
+        }
+        for chunk in self.scratch_up.drain(..) {
+            scan.scanner
+                .feed_up(&chunk, &mut self.intel, &mut self.decrypt_buf);
+        }
+        for chunk in self.scratch_down.drain(..) {
+            scan.scanner
+                .feed_down(&chunk, &mut self.intel, &mut self.decrypt_buf);
+        }
+        let after = scan.retained_with(&lf.buf);
+        self.retained_now = self.retained_now - before + after;
         let stats = &mut self.summary.stats;
         stats.peak_live_flows = stats.peak_live_flows.max(self.live.len() as u64);
         stats.peak_retained_bytes = stats.peak_retained_bytes.max(self.retained_now);
@@ -384,57 +408,32 @@ impl<'m> StreamingMonitor<'m> {
         }
     }
 
-    /// Analyze one flow and fold it into the running summary.
+    /// Finalize one flow's scan, run the per-flow detectors and fold it
+    /// into the running summary.
     fn evict(&mut self, id: u64) {
-        let Some(lf) = self.live.remove(&id) else {
+        let Some(LiveFlow { buf, scan, .. }) = self.live.remove(&id) else {
             return;
         };
-        self.retained_now -= match &lf.scan {
-            Some(scan) => scan.retained_with(&lf.buf),
-            None => lf.buf.retained_bytes(),
-        };
-        let work = match lf.scan {
-            Some(scan) => {
-                let ScanState { scanner, acc } = *scan;
-                self.monitor.scanned_flow_work(
-                    id,
-                    &lf.buf,
-                    scanner,
-                    &acc,
-                    &self.rules,
-                    &mut self.intel,
-                )
-            }
-            None => self
-                .monitor
-                .flow_work(id, &lf.buf, &self.rules, &mut self.intel),
-        };
-        let Some((ff, analysis, mut alerts)) = work else {
+        self.retained_now -= scan.retained_with(&buf);
+        let ScanState { scanner, acc } = *scan;
+        let Some(ff) = acc.finish(id, &buf) else {
             return;
         };
-        // Degraded-mode load shedding: drop low-severity per-flow alerts
-        // right at the shard, before attribution and downstream work.
-        let floor = self.monitor.config.confidence_floor;
-        let mut shed = 0u64;
-        if floor > 0.0 {
-            let before = alerts.len();
-            alerts.retain(|a| a.confidence >= floor);
-            shed = (before - alerts.len()) as u64;
+        let (analysis, hits) = scanner.finalize(&mut self.intel);
+        let config = &self.monitor.config;
+        let mut alerts = detectors::per_flow(&ff, &analysis, &self.rules, &config.thresholds);
+        // Hot-reloaded intel: only rules that had propagated before this
+        // flow began may match it (no retroactive alerts). The guard is
+        // a lock-free epoch check, so an idle feed costs nothing.
+        if !config.intel.is_empty() {
+            alerts.extend(detectors::feed_rule_hits_scanned(
+                &ff,
+                &analysis,
+                &mut self.intel,
+                &hits,
+            ));
         }
-        let stats = &mut self.summary.stats;
-        stats.shed_alerts += shed;
-        stats.flows += 1;
-        stats.bytes += ff.bytes_up + ff.bytes_down;
-        stats.kernel_msgs += analysis.kernel_msgs.len() as u64;
-        match analysis.visibility {
-            Visibility::FullContent => stats.full_content_flows += 1,
-            Visibility::FramingOnly => stats.framing_only_flows += 1,
-            Visibility::Opaque => stats.opaque_flows += 1,
-        }
-        self.summary
-            .alerts
-            .extend(alerts.into_iter().map(|a| self.monitor.attribute(a)));
-        self.summary.features.push(ff);
+        self.summary.add_flow(self.monitor, ff, &analysis, alerts);
     }
 
     /// Evict every remaining flow (in flow-id order, so output is
@@ -520,9 +519,9 @@ impl Monitor {
     /// arrive. With `shards == 1` the feed drives a single streaming
     /// engine inline; with more, records are routed by flow id over
     /// bounded channels to one worker thread per shard, so generation
-    /// overlaps analysis and the alert output is identical to
-    /// [`Monitor::analyze`] on the collected capture for every shard
-    /// count (given an equivalence-preserving `cfg` such as
+    /// overlaps analysis and the alert output is identical to the
+    /// full-buffer reference [`Monitor::analyze`] on the collected
+    /// capture for every shard count (given an equivalence-preserving `cfg` such as
     /// [`StreamingConfig::close_evict`] on an in-order feed).
     ///
     /// Records are buffered per shard and shipped in chunks, so shard
@@ -1055,7 +1054,12 @@ mod tests {
             );
         }
         net.close(SimTime::from_secs(1), f, false);
-        let (_, stats) = Monitor::default().analyze(&net.into_trace());
+        let trace = net.into_trace();
+        let (_, stats) = Monitor::default().analyze_stream(1, StreamingConfig::batch(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
         assert_eq!((stats.flows, stats.opaque_flows), (1, 1));
         assert_eq!(stats.bytes, 100_000);
         assert!(

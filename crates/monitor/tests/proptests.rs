@@ -6,7 +6,7 @@
 use ja_attackgen::AttackClass;
 use ja_monitor::analyzers::{FlowAnalysis, ParsedKernelMsg, Visibility};
 use ja_monitor::detectors::{self, Thresholds};
-use ja_monitor::engine::Monitor;
+use ja_monitor::engine::{Monitor, MonitorConfig, MonitorStats};
 use ja_monitor::features::FlowFeatures;
 use ja_monitor::matcher::{FeedCache, MatchMode, PatternMatcher};
 use ja_monitor::reassembly::Reassembler;
@@ -725,133 +725,16 @@ fn scan_hot_rules() -> Vec<Rule> {
     ]
 }
 
-proptest! {
-    /// The incremental single-pass scanner is bit-identical to the
-    /// eager full-buffer path — same alerts (content and order), same
-    /// statistics — across random segment reorderings, duplicated
-    /// segments, both match modes, and intel rules published mid-flow
-    /// (an epoch bump between a payload's arrival and its flow's
-    /// eviction forces the stored-hit revalidation path). Retention,
-    /// meanwhile, must never exceed the eager path's.
-    #[test]
-    fn incremental_scan_matches_eager_engine(
-        sessions in 1usize..3,
-        with_tls in any::<bool>(),
-        jitter_ms in 0u64..50,
-        dup_mask in proptest::collection::vec(any::<bool>(), 8),
-        publish_frac in proptest::option::of(0.0f64..1.0),
-        naive in any::<bool>(),
-        seed in any::<u64>()) {
-        let trace = scan_regimes_trace(sessions, with_tls);
-        let mut recs = trace.into_records();
-        let dups: Vec<SegmentRecord> = recs
-            .iter()
-            .filter(|r| !r.payload.is_empty())
-            .enumerate()
-            .filter(|(i, _)| dup_mask[i % dup_mask.len()])
-            .map(|(_, r)| r.clone())
-            .collect();
-        recs.extend(dups);
-        let mut rng = SimRng::new(seed);
-        let shuffled = Trace::new(recs).perturb(&mut rng, 0.0, Duration::from_millis(jitter_ms));
-        let records = shuffled.records();
-        let publish_idx = publish_frac.map(|p| (p * records.len() as f64) as usize);
-        let run = |scan_mode: ja_monitor::ScanMode| {
-            let mut cfg = ja_monitor::MonitorConfig::default();
-            cfg.match_mode = if naive { MatchMode::Naive } else { MatchMode::Compiled };
-            cfg.scan_mode = scan_mode;
-            let m = Monitor::new(cfg);
-            let feed = m.config.intel.clone();
-            let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
-            for (i, r) in records.iter().enumerate() {
-                if publish_idx == Some(i) {
-                    for rule in scan_hot_rules() {
-                        feed.publish(r.time, rule);
-                    }
-                }
-                sm.push(r);
-            }
-            sm.finish()
-        };
-        let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
-        let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
-        prop_assert_eq!(feed_fingerprint(&eager_alerts), feed_fingerprint(&incr_alerts));
-        prop_assert_eq!(eager_stats.segments, incr_stats.segments);
-        prop_assert_eq!(eager_stats.flows, incr_stats.flows);
-        prop_assert_eq!(eager_stats.bytes, incr_stats.bytes);
-        prop_assert_eq!(eager_stats.kernel_msgs, incr_stats.kernel_msgs);
-        prop_assert_eq!(eager_stats.full_content_flows, incr_stats.full_content_flows);
-        prop_assert_eq!(eager_stats.framing_only_flows, incr_stats.framing_only_flows);
-        prop_assert_eq!(eager_stats.opaque_flows, incr_stats.opaque_flows);
-        prop_assert_eq!(eager_stats.peak_live_flows, incr_stats.peak_live_flows);
-        prop_assert!(
-            incr_stats.peak_retained_bytes <= eager_stats.peak_retained_bytes,
-            "incremental retained {} > eager {}",
-            incr_stats.peak_retained_bytes,
-            eager_stats.peak_retained_bytes
-        );
-    }
-}
-
-/// Deterministic anchor for the equivalence property above: with the hot
-/// rules published up front, both engines actually fire intel alerts
-/// (the property is not vacuously comparing empty alert sets), and the
-/// incremental path retains strictly less than the eager path on this
-/// plaintext-heavy trace.
-#[test]
-fn scan_regimes_trace_fires_alerts_in_both_modes() {
-    let trace = scan_regimes_trace(2, true);
-    let run = |scan_mode: ja_monitor::ScanMode| {
-        let cfg = ja_monitor::MonitorConfig {
-            scan_mode,
-            ..Default::default()
-        };
-        let m = Monitor::new(cfg);
-        for rule in scan_hot_rules() {
-            m.config.intel.publish(SimTime::ZERO, rule);
-        }
-        let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
-        for r in trace.records() {
-            sm.push(r);
-        }
-        sm.finish()
-    };
-    let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
-    let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
-    assert!(
-        eager_alerts
-            .iter()
-            .any(|a| a.detail.contains("hp-scan-0") || a.detail.contains("hp-scan-1")),
-        "expected intel rule hits, got {:?}",
-        eager_alerts.iter().map(|a| &a.detail).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        feed_fingerprint(&eager_alerts),
-        feed_fingerprint(&incr_alerts)
-    );
-    assert!(incr_stats.peak_retained_bytes < eager_stats.peak_retained_bytes);
-    assert!(incr_stats.full_content_flows > 0);
-    assert!(incr_stats.opaque_flows > 0);
-}
-
-/// Run `records` through one streaming engine with every server in
-/// `servers` inspected, publishing the hot rules just before record
-/// `publish_idx` (never when `None`).
-fn run_inspected(
+/// Run `records` through the production engine — one streaming engine
+/// with close-based eviction — publishing the hot rules just before
+/// record `publish_idx` (never when `None`), then through the
+/// full-buffer reference `Monitor::analyze` on the same, by then
+/// published, feed. Returns (engine, reference).
+fn engine_and_reference(
     records: &[SegmentRecord],
-    servers: &[(HostAddr, Vec<u8>)],
-    scan_mode: ja_monitor::ScanMode,
-    match_mode: MatchMode,
+    cfg: MonitorConfig,
     publish_idx: Option<usize>,
-) -> (Vec<ja_monitor::Alert>, ja_monitor::MonitorStats) {
-    let mut cfg = ja_monitor::MonitorConfig {
-        scan_mode,
-        match_mode,
-        ..Default::default()
-    };
-    for (addr, secret) in servers {
-        cfg = cfg.with_inspection(*addr, secret.clone());
-    }
+) -> (MonitorRun, MonitorRun) {
     let m = Monitor::new(cfg);
     let feed = m.config.intel.clone();
     let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
@@ -863,18 +746,155 @@ fn run_inspected(
         }
         sm.push(r);
     }
-    sm.finish()
+    let engine = sm.finish();
+    let reference = m.analyze(&Trace::new(records.to_vec()));
+    (engine, reference)
+}
+
+type MonitorRun = (Vec<ja_monitor::Alert>, MonitorStats);
+
+/// The engine ≡ reference contract: identical alerts (content and
+/// order) and identical counts. The reference holds every flow to the
+/// end, so the engine's peaks may only be lower.
+fn check_engine_matches_reference(
+    (engine_alerts, engine): &MonitorRun,
+    (reference_alerts, reference): &MonitorRun,
+) {
+    prop_assert_eq!(
+        feed_fingerprint(engine_alerts),
+        feed_fingerprint(reference_alerts)
+    );
+    prop_assert_eq!(engine.segments, reference.segments);
+    prop_assert_eq!(engine.flows, reference.flows);
+    prop_assert_eq!(engine.bytes, reference.bytes);
+    prop_assert_eq!(engine.kernel_msgs, reference.kernel_msgs);
+    prop_assert_eq!(engine.full_content_flows, reference.full_content_flows);
+    prop_assert_eq!(engine.framing_only_flows, reference.framing_only_flows);
+    prop_assert_eq!(engine.opaque_flows, reference.opaque_flows);
+    prop_assert!(
+        engine.peak_live_flows <= reference.peak_live_flows,
+        "engine live {} > reference {}",
+        engine.peak_live_flows,
+        reference.peak_live_flows
+    );
+    prop_assert!(
+        engine.peak_retained_bytes <= reference.peak_retained_bytes,
+        "engine retained {} > reference {}",
+        engine.peak_retained_bytes,
+        reference.peak_retained_bytes
+    );
+}
+
+/// `trace`'s records with the payload records `dup_mask` selects
+/// duplicated, reordered within `jitter_ms`.
+fn perturbed_records(
+    trace: Trace,
+    dup_mask: &[bool],
+    jitter_ms: u64,
+    seed: u64,
+) -> Vec<SegmentRecord> {
+    let mut recs = trace.into_records();
+    let dups: Vec<SegmentRecord> = recs
+        .iter()
+        .filter(|r| !r.payload.is_empty())
+        .enumerate()
+        .filter(|(i, _)| dup_mask[i % dup_mask.len()])
+        .map(|(_, r)| r.clone())
+        .collect();
+    recs.extend(dups);
+    let mut rng = SimRng::new(seed);
+    Trace::new(recs)
+        .perturb(&mut rng, 0.0, Duration::from_millis(jitter_ms))
+        .into_records()
+}
+
+fn match_mode(naive: bool) -> MatchMode {
+    if naive {
+        MatchMode::Naive
+    } else {
+        MatchMode::Compiled
+    }
 }
 
 proptest! {
-    /// Under TLS inspection of every server the incremental scanner —
+    /// The production engine — every flow on the single-pass scanner —
+    /// is bit-identical to the full-buffer reference: same alerts
+    /// (content and order), same statistics, across random segment
+    /// reorderings, duplicated segments, both match modes, and intel
+    /// rules published mid-flow (an epoch bump between a payload's
+    /// arrival and its flow's eviction forces the stored-hit
+    /// revalidation path). It never retains more than the reference.
+    #[test]
+    fn incremental_scan_matches_eager_engine(
+        sessions in 1usize..3,
+        with_tls in any::<bool>(),
+        jitter_ms in 0u64..50,
+        dup_mask in proptest::collection::vec(any::<bool>(), 8),
+        publish_frac in proptest::option::of(0.0f64..1.0),
+        naive in any::<bool>(),
+        seed in any::<u64>()) {
+        let records = perturbed_records(scan_regimes_trace(sessions, with_tls), &dup_mask, jitter_ms, seed);
+        let publish_idx = publish_frac.map(|p| (p * records.len() as f64) as usize);
+        let cfg = MonitorConfig {
+            match_mode: match_mode(naive),
+            ..Default::default()
+        };
+        let (engine, reference) = engine_and_reference(&records, cfg, publish_idx);
+        check_engine_matches_reference(&engine, &reference);
+    }
+}
+
+/// Deterministic anchor for the equivalence property above: with the hot
+/// rules published up front, the engine and the reference actually fire
+/// intel alerts (the property is not vacuously comparing empty alert
+/// sets), and the engine retains strictly less than the reference on
+/// this plaintext-heavy trace.
+#[test]
+fn scan_regimes_trace_fires_alerts_in_both_modes() {
+    let trace = scan_regimes_trace(2, true);
+    let ((engine_alerts, engine), (reference_alerts, reference)) =
+        engine_and_reference(trace.records(), MonitorConfig::default(), Some(0));
+    assert!(
+        reference_alerts
+            .iter()
+            .any(|a| a.detail.contains("hp-scan-0") || a.detail.contains("hp-scan-1")),
+        "expected intel rule hits, got {:?}",
+        reference_alerts
+            .iter()
+            .map(|a| &a.detail)
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(
+        feed_fingerprint(&reference_alerts),
+        feed_fingerprint(&engine_alerts)
+    );
+    assert!(engine.peak_retained_bytes < reference.peak_retained_bytes);
+    assert!(engine.full_content_flows > 0);
+    assert!(engine.opaque_flows > 0);
+}
+
+/// A monitor configuration inspecting every server in `servers`.
+fn inspecting(servers: &[(HostAddr, Vec<u8>)], match_mode: MatchMode) -> MonitorConfig {
+    let mut cfg = MonitorConfig {
+        match_mode,
+        ..Default::default()
+    };
+    for (addr, secret) in servers {
+        cfg = cfg.with_inspection(*addr, secret.clone());
+    }
+    cfg
+}
+
+proptest! {
+    /// Under TLS inspection of every server the engine's scanner —
     /// plaintext decided from the first upstream bytes, decryption a
-    /// chunk at a time — is bit-identical to the eager
-    /// decrypt-and-reparse path: same alerts, same statistics, across
-    /// reorderings, duplicates, both match modes and a mid-flow intel
-    /// publish, over a TLS session, a plaintext-WS session on an
-    /// inspected host, a server-opened raw stream and an unterminated
-    /// `GET` upstream. It never retains more than the eager path.
+    /// chunk at a time — is bit-identical to the reference's
+    /// decrypt-and-reparse of whole buffers: same alerts, same
+    /// statistics, across reorderings, duplicates, both match modes and
+    /// a mid-flow intel publish, over a TLS session, a plaintext-WS
+    /// session on an inspected host, a server-opened raw stream and an
+    /// unterminated `GET` upstream. It never retains more than the
+    /// reference.
     #[test]
     fn incremental_scan_matches_eager_engine_under_inspection(
         sessions in 1usize..3,
@@ -884,62 +904,27 @@ proptest! {
         naive in any::<bool>(),
         seed in any::<u64>()) {
         let (trace, servers) = inspected_regimes_trace(sessions);
-        let mut recs = trace.into_records();
-        let dups: Vec<SegmentRecord> = recs
-            .iter()
-            .filter(|r| !r.payload.is_empty())
-            .enumerate()
-            .filter(|(i, _)| dup_mask[i % dup_mask.len()])
-            .map(|(_, r)| r.clone())
-            .collect();
-        recs.extend(dups);
-        let mut rng = SimRng::new(seed);
-        let shuffled = Trace::new(recs).perturb(&mut rng, 0.0, Duration::from_millis(jitter_ms));
-        let records = shuffled.records();
+        let records = perturbed_records(trace, &dup_mask, jitter_ms, seed);
         let publish_idx = publish_frac.map(|p| (p * records.len() as f64) as usize);
-        let match_mode = if naive { MatchMode::Naive } else { MatchMode::Compiled };
-        let run = |scan_mode| run_inspected(records, &servers, scan_mode, match_mode, publish_idx);
-        let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
-        let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
-        prop_assert_eq!(feed_fingerprint(&eager_alerts), feed_fingerprint(&incr_alerts));
-        prop_assert_eq!(eager_stats.segments, incr_stats.segments);
-        prop_assert_eq!(eager_stats.flows, incr_stats.flows);
-        prop_assert_eq!(eager_stats.bytes, incr_stats.bytes);
-        prop_assert_eq!(eager_stats.kernel_msgs, incr_stats.kernel_msgs);
-        prop_assert_eq!(eager_stats.full_content_flows, incr_stats.full_content_flows);
-        prop_assert_eq!(eager_stats.framing_only_flows, incr_stats.framing_only_flows);
-        prop_assert_eq!(eager_stats.opaque_flows, incr_stats.opaque_flows);
-        prop_assert_eq!(eager_stats.peak_live_flows, incr_stats.peak_live_flows);
-        prop_assert!(
-            incr_stats.peak_retained_bytes <= eager_stats.peak_retained_bytes,
-            "incremental retained {} > eager {}",
-            incr_stats.peak_retained_bytes,
-            eager_stats.peak_retained_bytes
-        );
+        let cfg = inspecting(&servers, match_mode(naive));
+        let (engine, reference) = engine_and_reference(&records, cfg, publish_idx);
+        check_engine_matches_reference(&engine, &reference);
     }
 }
 
 /// Deterministic anchor for the inspected property above: the hostile
 /// cell inside the TLS session is only readable through decryption,
-/// and it fires the code-plane intel rule in both engines, so the
-/// property is not comparing empty alert sets.
+/// and it fires the code-plane intel rule in both the engine and the
+/// reference, so the property is not comparing empty alert sets.
 #[test]
 fn inspected_tls_cell_fires_intel_in_both_modes() {
     let (trace, servers) = inspected_regimes_trace(1);
     // Flow alerts name the client; this one opened the TLS session.
     let tls_client = HostAddr::internal(HostId(150));
-    let run = |scan_mode| {
-        run_inspected(
-            trace.records(),
-            &servers,
-            scan_mode,
-            MatchMode::Compiled,
-            Some(0),
-        )
-    };
-    let (eager_alerts, eager_stats) = run(ja_monitor::ScanMode::Eager);
-    let (incr_alerts, incr_stats) = run(ja_monitor::ScanMode::Incremental);
-    for alerts in [&eager_alerts, &incr_alerts] {
+    let cfg = inspecting(&servers, MatchMode::Compiled);
+    let ((engine_alerts, engine), (reference_alerts, reference)) =
+        engine_and_reference(trace.records(), cfg, Some(0));
+    for alerts in [&reference_alerts, &engine_alerts] {
         assert!(
             alerts
                 .iter()
@@ -952,14 +937,147 @@ fn inspected_tls_cell_fires_intel_in_both_modes() {
         );
     }
     assert_eq!(
-        feed_fingerprint(&eager_alerts),
-        feed_fingerprint(&incr_alerts)
+        feed_fingerprint(&reference_alerts),
+        feed_fingerprint(&engine_alerts)
     );
-    assert_eq!(
-        eager_stats.full_content_flows,
-        incr_stats.full_content_flows
-    );
-    assert_eq!(incr_stats.full_content_flows, 2);
-    assert!(incr_stats.opaque_flows >= 3);
-    assert!(incr_stats.peak_retained_bytes < eager_stats.peak_retained_bytes);
+    assert_eq!(reference.full_content_flows, engine.full_content_flows);
+    assert_eq!(engine.full_content_flows, 2);
+    assert!(engine.opaque_flows >= 3);
+    assert!(engine.peak_retained_bytes < reference.peak_retained_bytes);
+}
+
+/// Kernel-message code the hostile-bytes property draws from: benign,
+/// hitting a hot rule, or empty.
+const HOSTILE_CODES: [&str; 3] = ["print(1)", "subprocess.Popen('/tmp/.stratum_kworkerd')", ""];
+
+/// A well-formed kernel message carrying one of [`HOSTILE_CODES`],
+/// encoded as WebSocket frames: split into 1–3 fragments, masked or not.
+fn arb_kernel_frames() -> impl Strategy<Value = Vec<u8>> {
+    (0..HOSTILE_CODES.len(), 1usize..4, any::<bool>()).prop_map(|(code, fragments, masked)| {
+        use ja_jupyter_proto::messages::{Header, MsgType};
+        use ja_jupyter_proto::wire::WireMessage;
+        let header = Header::new(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
+        let content = format!("{{\"code\": \"{}\"}}", HOSTILE_CODES[code]);
+        let wire = WireMessage::build(None, vec![], &header, None, content).encode();
+        ja_websocket::codec::fragment(ja_websocket::Opcode::Binary, &wire, fragments, masked)
+            .iter()
+            .flat_map(ja_websocket::Frame::encode)
+            .collect()
+    })
+}
+
+/// One unit of a hostile WebSocket body: a well-formed kernel message,
+/// a frame with an arbitrary first byte, mask and payload, or junk.
+fn arb_ws_unit() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_kernel_frames(),
+        (
+            any::<u8>(),
+            proptest::option::of(any::<[u8; 4]>()),
+            proptest::collection::vec(any::<u8>(), 0..40)
+        )
+            .prop_map(|(first, mask, payload)| {
+                let mask_bit = if mask.is_some() { 0x80 } else { 0 };
+                let mut out = vec![first, payload.len() as u8 | mask_bit];
+                if let Some(key) = mask {
+                    out.extend(key);
+                }
+                out.extend(payload);
+                out
+            }),
+        proptest::collection::vec(any::<u8>(), 0..64),
+    ]
+}
+
+/// One direction's bytes: `head` (a valid upgrade request or 101
+/// response) followed by well-formed kernel messages or by hostile
+/// units, the hostile units alone, or pure junk.
+fn arb_side(head: String) -> impl Strategy<Value = Vec<u8>> {
+    let units = |unit| proptest::collection::vec(unit, 0..6).prop_map(|u| u.concat());
+    let head_then = move |body: Vec<u8>| [head.as_bytes(), &body[..]].concat();
+    prop_oneof![
+        units(arb_kernel_frames().boxed()).prop_map(head_then.clone()),
+        units(arb_ws_unit().boxed()).prop_map(head_then),
+        units(arb_ws_unit().boxed()),
+        proptest::collection::vec(any::<u8>(), 0..200),
+    ]
+}
+
+proptest! {
+    /// The scanner parses attacker-controlled bytes — decoy traffic is
+    /// hostile by construction. For arbitrary bytes in both directions
+    /// (a valid upgrade header plus a random tail, random WebSocket
+    /// frames and well-formed kernel messages, or pure junk), cut into
+    /// chunks at random boundaries and interleaved at random, with no
+    /// inspection secret, a secret over plaintext, or a secret the
+    /// bytes are really encrypted under: the production engine never
+    /// panics, and its output equals the full-buffer reference's.
+    #[test]
+    fn arbitrary_flow_bytes_scan_like_the_reference(
+        up in arb_side(UpgradeRequest::new("/api/kernels/k/channels?token=t0k", "hub:8888", 7).to_http()),
+        down in arb_side(ja_websocket::handshake::UpgradeResponse::accept(
+            &UpgradeRequest::new("/", "hub:8888", 7)).to_http()),
+        cuts_up in proptest::collection::vec(any::<usize>(), 0..8),
+        cuts_down in proptest::collection::vec(any::<usize>(), 0..8),
+        order in proptest::collection::vec(any::<bool>(), 16),
+        inspect in 0u8..3,
+        publish in any::<bool>(),
+    ) {
+        let client = HostAddr::internal(HostId(1));
+        let server = HostAddr::internal(HostId(2));
+        let secret = b"decoy-transport-secret".to_vec();
+        let mut net = Network::new().with_mss(48);
+        let f = net.open(SimTime::ZERO, client, 40_000, server, 8888);
+        let encrypt = |dir, bytes: &[u8]| {
+            let mut out = bytes.to_vec();
+            if inspect == 2 {
+                let seed = ja_kernelsim::server::transport_seed(&secret, f, dir);
+                ja_crypto::chacha::ChaCha20::from_seed(&seed).apply(&mut out);
+            }
+            out
+        };
+        let chunks = |bytes: &[u8], cuts: &[usize]| {
+            let mut at: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            at.extend([0, bytes.len()]);
+            at.sort_unstable();
+            at.windows(2)
+                .filter(|w| w[0] < w[1])
+                .map(|w| bytes[w[0]..w[1]].to_vec())
+                .collect::<Vec<_>>()
+        };
+        let ups = chunks(&encrypt(Direction::ToResponder, &up), &cuts_up);
+        let downs = chunks(&encrypt(Direction::ToInitiator, &down), &cuts_down);
+        let (mut ui, mut di) = (0, 0);
+        let mut t = SimTime::from_millis(1);
+        while ui < ups.len() || di < downs.len() {
+            let take_up = di == downs.len() || (ui < ups.len() && order[(ui + di) % order.len()]);
+            let (dir, chunk) = if take_up {
+                ui += 1;
+                (Direction::ToResponder, &ups[ui - 1])
+            } else {
+                di += 1;
+                (Direction::ToInitiator, &downs[di - 1])
+            };
+            t = net.send(t, f, dir, chunk) + Duration::from_millis(1);
+        }
+        net.close(t, f, false);
+        let trace = net.into_trace();
+        let mut cfg = MonitorConfig::default();
+        if inspect > 0 {
+            cfg = cfg.with_inspection(server, secret.clone());
+        }
+        let m = Monitor::new(cfg);
+        if publish {
+            for rule in scan_hot_rules() {
+                m.config.intel.publish(SimTime::ZERO, rule);
+            }
+        }
+        let engine = m.analyze_stream(1, StreamingConfig::batch(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
+        let reference = m.analyze(&trace);
+        check_engine_matches_reference(&engine, &reference);
+    }
 }

@@ -35,7 +35,7 @@ fn main() {
     let mut exchange = 0;
     while let Some(action) = adversary.next_action(last_outcome.as_ref()) {
         exchange += 1;
-        t = t + action.delay;
+        t += action.delay;
         let mut transport = DirectTransport::new(&mut deployment.servers[action.server]);
         let conn = conns
             .entry((action.server, action.user.clone()))
