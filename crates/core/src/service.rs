@@ -48,6 +48,7 @@ use crate::report::Report;
 use ja_attackgen::campaign::GroundTruth;
 use ja_attackgen::stream::{ScenarioItem, StreamSnapshot};
 use ja_crypto::sha256::sha256_hex;
+use ja_monitor::analyzers::DEFAULT_MAX_HEADER_BYTES;
 use ja_monitor::engine::shard_of;
 use ja_monitor::streaming::MonitorShardSnapshot;
 use ja_netsim::rng::{split_seed, SimRng};
@@ -162,20 +163,27 @@ impl ServiceConfig {
     /// A fingerprint of everything that must match between the config
     /// that wrote a checkpoint and the config restoring it — replay
     /// determinism holds only under an identical configuration.
+    ///
+    /// The monitor's header cap joined the configuration after format
+    /// version 1. At its default it is cut from the text, which is then
+    /// what it was before the field existed, so checkpoints written
+    /// before it still restore.
     fn fingerprint(&self) -> String {
-        sha256_hex(
-            format!(
-                "v{}|{:?}|{}|{:?}|{:?}|{}|{:?}",
-                CHECKPOINT_VERSION,
-                self.pipeline,
-                self.seed,
-                self.checkpoint_items,
-                self.health,
-                self.epoch_gap.0,
-                self.wave,
-            )
-            .as_bytes(),
+        let text = format!(
+            "v{}|{:?}|{}|{:?}|{:?}|{}|{:?}",
+            CHECKPOINT_VERSION,
+            self.pipeline,
+            self.seed,
+            self.checkpoint_items,
+            self.health,
+            self.epoch_gap.0,
+            self.wave,
         )
+        .replace(
+            &format!(", max_header_bytes: {DEFAULT_MAX_HEADER_BYTES}"),
+            "",
+        );
+        sha256_hex(text.as_bytes())
     }
 }
 
@@ -362,16 +370,19 @@ pub struct ServiceCheckpoint {
 }
 
 impl ServiceCheckpoint {
-    fn body_json(&self) -> String {
-        let mut body = self.clone();
-        body.checksum = String::new();
-        serde_json::to_string(&body).expect("checkpoint serializes")
+    /// The checksum the contents seal to: SHA-256 over the checkpoint
+    /// serialized with `checksum` empty.
+    fn seal(&mut self) -> String {
+        let checksum = std::mem::take(&mut self.checksum);
+        let body = serde_json::to_string(self).expect("checkpoint serializes");
+        self.checksum = checksum;
+        sha256_hex(body.as_bytes())
     }
 
     /// Serialize, sealing the contents under a SHA-256 checksum.
     pub fn to_json(&self) -> String {
         let mut sealed = self.clone();
-        sealed.checksum = sha256_hex(self.body_json().as_bytes());
+        sealed.checksum = sealed.seal();
         serde_json::to_string(&sealed).expect("checkpoint serializes")
     }
 
@@ -380,11 +391,9 @@ impl ServiceCheckpoint {
     /// the checksum ([`RestoreError::ChecksumMismatch`]), and
     /// incompatible format versions ([`RestoreError::Version`]).
     pub fn from_json(text: &str) -> Result<Self, RestoreError> {
-        let value =
+        let mut chk: ServiceCheckpoint =
             serde_json::from_str(text).map_err(|e| RestoreError::Malformed(e.to_string()))?;
-        let chk = <ServiceCheckpoint as serde::Deserialize>::from_value(&value)
-            .map_err(|e| RestoreError::Malformed(e.to_string()))?;
-        if chk.checksum.is_empty() || sha256_hex(chk.body_json().as_bytes()) != chk.checksum {
+        if chk.checksum.is_empty() || chk.seal() != chk.checksum {
             return Err(RestoreError::ChecksumMismatch);
         }
         if chk.version != CHECKPOINT_VERSION {
@@ -1078,6 +1087,19 @@ mod tests {
             SocService::restore(svc_config(22), &json),
             Err(RestoreError::ConfigMismatch)
         ));
+    }
+
+    #[test]
+    fn header_cap_changes_the_fingerprint_only_off_its_default() {
+        // The fingerprint cuts exactly this text from the config's
+        // `Debug`; if the field were printed differently, the cut would
+        // silently stop working.
+        let cut = format!(", max_header_bytes: {DEFAULT_MAX_HEADER_BYTES}");
+        let debug = format!("{:?}", svc_config(1).pipeline);
+        assert_eq!(debug.matches(&cut).count(), 1, "{debug}");
+        let mut capped = svc_config(1);
+        capped.pipeline.monitor.max_header_bytes = 1024;
+        assert_ne!(capped.fingerprint(), svc_config(1).fingerprint());
     }
 
     #[test]

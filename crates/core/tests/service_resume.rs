@@ -207,3 +207,81 @@ fn corrupted_or_truncated_checkpoints_never_restore() {
         }
     }
 }
+
+/// A sealed cadence checkpoint of a one-epoch tiny service, as JSON.
+fn sample_checkpoint_json() -> &'static str {
+    static JSON: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    JSON.get_or_init(|| {
+        let source = MixSource {
+            base: CampaignPlan::single(AttackClass::Ransomware),
+        };
+        let mut svc = SocService::new(tiny_service_config(3, 2, 1, 1, 64));
+        svc.run_epochs(&source, 1).unwrap();
+        svc.last_checkpoint()
+            .expect("cadence checkpoint taken")
+            .to_json()
+    })
+}
+
+/// What the `Value` writer writes for `x`.
+fn value_writer<T: serde::Serialize>(x: &T) -> String {
+    let mut out = String::new();
+    serde::json::write_value(&x.to_value(), &mut out, None);
+    out
+}
+
+/// Pieces that break or bend a checkpoint when spliced in.
+const SPLICES: [&str; 10] = [
+    "{",
+    "}",
+    "[",
+    "\"",
+    "\\",
+    ",",
+    "0",
+    "null",
+    "\\u0041",
+    "\"epoch\":1,",
+];
+
+proptest! {
+    /// Checkpoints are written by derived direct writes and read by
+    /// derived direct reads. On a real checkpoint, the write is
+    /// byte-identical to the `Value` writer; on mutations of it (a
+    /// piece spliced in, characters deleted, a slice copied elsewhere,
+    /// which duplicates keys), the direct read returns what reading the
+    /// tree returns, and errs exactly when that errs.
+    #[test]
+    fn checkpoint_json_matches_the_value_oracle(
+        at in any::<usize>(),
+        to in any::<usize>(),
+        len in 0usize..64,
+        piece in 0..SPLICES.len()) {
+        let json = sample_checkpoint_json();
+        let chk = ServiceCheckpoint::from_json(json).unwrap();
+        prop_assert_eq!(&serde_json::to_string(&chk).unwrap(), json);
+        prop_assert_eq!(&value_writer(&chk), json);
+        let chars: Vec<char> = json.chars().collect();
+        let at = at % chars.len();
+        let end = (at + len).min(chars.len());
+        let to = to % chars.len();
+        let mutations = [
+            [&chars[..at], &SPLICES[piece].chars().collect::<Vec<_>>(), &chars[at..]].concat(),
+            [&chars[..at], &chars[end..]].concat(),
+            [&chars[..to], &chars[at..end], &chars[to..]].concat(),
+        ];
+        for mutated in mutations {
+            let text: String = mutated.into_iter().collect();
+            let direct = serde_json::from_str::<ServiceCheckpoint>(&text)
+                .map(|c| serde_json::to_string(&c).unwrap())
+                .map_err(drop);
+            let tree = serde_json::from_str::<serde_json::Value>(&text)
+                .map_err(drop)
+                .and_then(|v| {
+                    <ServiceCheckpoint as serde::Deserialize>::from_value(&v).map_err(drop)
+                })
+                .map(|c| value_writer(&c));
+            prop_assert_eq!(direct, tree);
+        }
+    }
+}

@@ -9,13 +9,29 @@
 //! where `signature = HMAC-SHA256(key, header ‖ parent_header ‖ metadata ‖
 //! content)` over the serialized JSON bytes. Signing and verification take
 //! the session's keyed [`HmacSha256`] rather than raw key bytes, so a
-//! session runs the HMAC key schedule once, not once per message. This
-//! module reproduces that framing exactly, plus a length-prefixed byte
-//! encoding standing in for ZMQ's own framing so messages can ride the
-//! `netsim` byte streams and WebSocket frames.
+//! session runs the HMAC key schedule once, not once per message.
+//!
+//! Messages ride the `netsim` byte streams and WebSocket frames in a
+//! length-prefixed encoding that stands in for ZMQ's own framing: a
+//! u32-BE part count, then a u32-BE length and the bytes of each part.
+//! There are two views of a message:
+//!
+//! - [`WireMessage`] owns its parts. Kernels and clients build, sign and
+//!   [`WireMessage::encode`] it; `encode` writes each part straight into
+//!   the one output buffer.
+//! - [`WireView`] borrows them from the buffer it was decoded from. It is
+//!   what the sensor decodes every kernel message into: each JSON part is
+//!   a `&str` into the buffer, copied only where `from_utf8_lossy` must
+//!   replace invalid bytes. [`WireMessage::decode`] is this decode plus
+//!   [`WireView::into_owned`].
+//!
+//! Both read the message type with [`Header::msg_type_of`], a scan of
+//! the header's string fields that gives what parsing the whole
+//! [`Header`] would, without building it.
 
 use crate::messages::{Header, MsgType};
 use ja_crypto::hmac::{self, HmacSha256};
+use std::borrow::Cow;
 
 /// The ZMQ delimiter separating routing identities from the payload.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
@@ -131,53 +147,31 @@ impl WireMessage {
 
     /// Message type, if the header parses.
     pub fn msg_type(&self) -> Option<MsgType> {
-        self.parsed_header().ok().map(|h| h.msg_type)
+        Header::msg_type_of(&self.header)
     }
 
-    /// The multipart view (identities, delimiter, signature, 4 dict
-    /// parts, buffers) — the exact ZMQ part sequence.
-    pub fn to_parts(&self) -> Vec<Vec<u8>> {
-        let mut parts = self.identities.clone();
-        parts.push(DELIMITER.to_vec());
-        parts.push(self.signature.as_bytes().to_vec());
-        parts.push(self.header.as_bytes().to_vec());
-        parts.push(self.parent_header.as_bytes().to_vec());
-        parts.push(self.metadata.as_bytes().to_vec());
-        parts.push(self.content.as_bytes().to_vec());
-        parts.extend(self.buffers.iter().cloned());
-        parts
-    }
-
-    /// Rebuild from a multipart part sequence.
-    pub fn from_parts(parts: Vec<Vec<u8>>) -> Result<Self, WireError> {
-        let delim_idx = parts
-            .iter()
-            .position(|p| p == DELIMITER)
-            .ok_or(WireError::MissingDelimiter)?;
-        let payload = &parts[delim_idx + 1..];
-        if payload.len() < 5 {
-            return Err(WireError::TruncatedMessage);
-        }
-        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
-        Ok(WireMessage {
-            identities: parts[..delim_idx].to_vec(),
-            signature: text(&payload[0]),
-            header: text(&payload[1]),
-            parent_header: text(&payload[2]),
-            metadata: text(&payload[3]),
-            content: text(&payload[4]),
-            buffers: payload[5..].to_vec(),
-        })
-    }
-
-    /// Serialize to a length-prefixed byte stream (u32-BE part count,
-    /// then u32-BE length + bytes per part) — the stand-in for ZMQ's
-    /// framing used on simulated TCP/WebSocket transports.
+    /// Serialize to the length-prefixed byte stream (see the module
+    /// docs): the identities, the delimiter, the signature, the four
+    /// dicts and the buffers, the exact ZMQ part sequence.
     pub fn encode(&self) -> Vec<u8> {
-        let parts = self.to_parts();
-        let mut out = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
-        out.extend_from_slice(&(parts.len() as u32).to_be_bytes());
-        for p in &parts {
+        let dicts = [
+            DELIMITER,
+            self.signature.as_bytes(),
+            self.header.as_bytes(),
+            self.parent_header.as_bytes(),
+            self.metadata.as_bytes(),
+            self.content.as_bytes(),
+        ];
+        let parts = || {
+            self.identities
+                .iter()
+                .map(Vec::as_slice)
+                .chain(dicts)
+                .chain(self.buffers.iter().map(Vec::as_slice))
+        };
+        let mut out = Vec::with_capacity(4 + parts().map(|p| 4 + p.len()).sum::<usize>());
+        out.extend_from_slice(&(parts().count() as u32).to_be_bytes());
+        for p in parts() {
             out.extend_from_slice(&(p.len() as u32).to_be_bytes());
             out.extend_from_slice(p);
         }
@@ -187,32 +181,7 @@ impl WireMessage {
     /// Decode one message from the front of `buf`; returns the message
     /// and bytes consumed, or `None` if more bytes are needed.
     pub fn decode(buf: &[u8]) -> Result<Option<(Self, usize)>, WireError> {
-        if buf.len() < 4 {
-            return Ok(None);
-        }
-        let nparts = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if nparts > 1024 {
-            return Err(WireError::BadFraming);
-        }
-        let mut pos = 4usize;
-        let mut parts = Vec::with_capacity(nparts);
-        for _ in 0..nparts {
-            if buf.len() < pos + 4 {
-                return Ok(None);
-            }
-            let len =
-                u32::from_be_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-            if len > 256 * 1024 * 1024 {
-                return Err(WireError::BadFraming);
-            }
-            pos += 4;
-            if buf.len() < pos + len {
-                return Ok(None);
-            }
-            parts.push(buf[pos..pos + len].to_vec());
-            pos += len;
-        }
-        Ok(Some((Self::from_parts(parts)?, pos)))
+        Ok(WireView::decode(buf)?.map(|(view, used)| (view.into_owned(), used)))
     }
 
     /// Total payload bytes (for traffic accounting).
@@ -222,6 +191,120 @@ impl WireMessage {
             + self.metadata.len()
             + self.content.len()
             + self.buffers.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// A kernel-protocol message borrowed from the buffer it was decoded
+/// from. The fields mean what [`WireMessage`]'s do; a JSON part is
+/// owned only when its bytes are not valid UTF-8 and had to be replaced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WireView<'a> {
+    /// ZMQ routing identities.
+    pub identities: Vec<&'a [u8]>,
+    /// Hex HMAC signature (empty when signing is disabled).
+    pub signature: Cow<'a, str>,
+    /// Serialized header JSON.
+    pub header: Cow<'a, str>,
+    /// Serialized parent header JSON.
+    pub parent_header: Cow<'a, str>,
+    /// Serialized metadata JSON.
+    pub metadata: Cow<'a, str>,
+    /// Serialized content JSON.
+    pub content: Cow<'a, str>,
+    /// Raw binary buffers.
+    pub buffers: Vec<&'a [u8]>,
+}
+
+impl<'a> WireView<'a> {
+    /// Decode one message from the front of `buf`; returns the view and
+    /// bytes consumed, or `None` if more bytes are needed. Framing
+    /// errors and missing bytes are reported as the parts are read; a
+    /// missing delimiter or fewer than five parts after it only once
+    /// every part is there.
+    pub fn decode(buf: &'a [u8]) -> Result<Option<(Self, usize)>, WireError> {
+        let be32 = |at: usize| {
+            buf.get(at..at + 4)
+                .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        };
+        let Some(nparts) = be32(0) else {
+            return Ok(None);
+        };
+        if nparts > 1024 {
+            return Err(WireError::BadFraming);
+        }
+        let mut pos = 4usize;
+        let mut identities = Vec::new();
+        // The signature and four dicts, once the delimiter is seen.
+        let mut payload: Option<([&[u8]; 5], usize)> = None;
+        let mut buffers = Vec::new();
+        for _ in 0..nparts {
+            let Some(len) = be32(pos) else {
+                return Ok(None);
+            };
+            if len > 256 * 1024 * 1024 {
+                return Err(WireError::BadFraming);
+            }
+            pos += 4;
+            let Some(part) = buf.get(pos..pos + len) else {
+                return Ok(None);
+            };
+            pos += len;
+            match &mut payload {
+                None if part == DELIMITER => payload = Some(([&[]; 5], 0)),
+                None => identities.push(part),
+                Some((dicts, n)) if *n < dicts.len() => {
+                    dicts[*n] = part;
+                    *n += 1;
+                }
+                Some(_) => buffers.push(part),
+            }
+        }
+        let [signature, header, parent_header, metadata, content] = match payload {
+            None => return Err(WireError::MissingDelimiter),
+            Some((_, n)) if n < 5 => return Err(WireError::TruncatedMessage),
+            Some((dicts, _)) => dicts.map(|part| match std::str::from_utf8(part) {
+                Ok(text) => Cow::Borrowed(text),
+                Err(_) => String::from_utf8_lossy(part),
+            }),
+        };
+        let view = WireView {
+            identities,
+            signature,
+            header,
+            parent_header,
+            metadata,
+            content,
+            buffers,
+        };
+        Ok(Some((view, pos)))
+    }
+
+    /// Message type, if the header parses.
+    pub fn msg_type(&self) -> Option<MsgType> {
+        Header::msg_type_of(&self.header)
+    }
+
+    /// Total payload bytes, as [`WireMessage::payload_len`] counts them.
+    pub fn payload_len(&self) -> usize {
+        self.header.len()
+            + self.parent_header.len()
+            + self.metadata.len()
+            + self.content.len()
+            + self.buffers.iter().map(|b| b.len()).sum::<usize>()
+    }
+
+    /// Copy the view into an owned [`WireMessage`].
+    pub fn into_owned(self) -> WireMessage {
+        let owned = |parts: Vec<&[u8]>| parts.into_iter().map(<[u8]>::to_vec).collect();
+        WireMessage {
+            identities: owned(self.identities),
+            signature: self.signature.into_owned(),
+            header: self.header.into_owned(),
+            parent_header: self.parent_header.into_owned(),
+            metadata: self.metadata.into_owned(),
+            content: self.content.into_owned(),
+            buffers: owned(self.buffers),
+        }
     }
 }
 
@@ -280,30 +363,69 @@ mod tests {
         assert!(!m.verify(mac(&key()).as_ref()));
     }
 
+    /// The length-prefixed encoding of an arbitrary part sequence.
+    fn frame(parts: &[&[u8]]) -> Vec<u8> {
+        let mut out = (parts.len() as u32).to_be_bytes().to_vec();
+        for p in parts {
+            out.extend_from_slice(&(p.len() as u32).to_be_bytes());
+            out.extend_from_slice(p);
+        }
+        out
+    }
+
     #[test]
     fn parts_round_trip() {
         let m = sample(&key());
-        let back = WireMessage::from_parts(m.to_parts()).unwrap();
+        let bytes = m.encode();
+        let mut parts: Vec<&[u8]> = vec![b"client-7", DELIMITER, m.signature.as_bytes()];
+        parts.extend([&m.header, &m.parent_header, &m.metadata, &m.content].map(|p| p.as_bytes()));
+        assert_eq!(
+            bytes,
+            frame(&parts),
+            "encode writes the exact ZMQ part sequence"
+        );
+        let (back, _) = WireMessage::decode(&bytes).unwrap().unwrap();
         assert_eq!(back, m);
         assert!(back.verify(mac(&key()).as_ref()));
     }
 
     #[test]
     fn missing_delimiter_rejected() {
-        let parts = vec![b"id".to_vec(), b"sig".to_vec()];
+        let bytes = frame(&[b"id", b"sig"]);
         assert_eq!(
-            WireMessage::from_parts(parts),
+            WireMessage::decode(&bytes),
             Err(WireError::MissingDelimiter)
         );
+        assert_eq!(WireView::decode(&bytes), Err(WireError::MissingDelimiter));
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        let parts = vec![DELIMITER.to_vec(), b"sig".to_vec(), b"h".to_vec()];
+        let bytes = frame(&[DELIMITER, b"sig", b"h"]);
         assert_eq!(
-            WireMessage::from_parts(parts),
+            WireMessage::decode(&bytes),
             Err(WireError::TruncatedMessage)
         );
+        assert_eq!(WireView::decode(&bytes), Err(WireError::TruncatedMessage));
+    }
+
+    #[test]
+    fn view_borrows_valid_parts_and_replaces_invalid_utf8() {
+        let m = sample(&key());
+        let bytes = m.encode();
+        let (view, used) = WireView::decode(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(matches!(view.header, Cow::Borrowed(_)));
+        assert!(matches!(view.content, Cow::Borrowed(_)));
+        assert_eq!(view.msg_type(), Some(MsgType::ExecuteRequest));
+        assert_eq!(view.payload_len(), m.payload_len());
+        assert_eq!(view.into_owned(), m);
+
+        let bytes = frame(&[DELIMITER, b"", b"{\xff}", b"{}", b"{}", b"{}", b"\xff"]);
+        let (view, _) = WireView::decode(&bytes).unwrap().unwrap();
+        assert_eq!(view.header, "{\u{fffd}}");
+        assert_eq!(view.buffers, vec![&b"\xff"[..]]);
+        assert_eq!(view.msg_type(), None);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use ja_netsim::time::{Duration, SimTime};
 use ja_websocket::codec::fragment;
 use ja_websocket::frame::Opcode;
 use ja_websocket::handshake::{UpgradeRequest, UpgradeResponse};
+use std::borrow::Cow;
 
 /// Derive the transport keystream seed for one direction of one flow.
 /// A monitor granted "TLS inspection" knows `secret` and can derive the
@@ -224,11 +225,11 @@ impl NotebookServer {
         idx
     }
 
-    fn transport_encrypt(cipher: &mut Option<ChaCha20>, bytes: Vec<u8>) -> Vec<u8> {
-        match cipher {
-            Some(c) => c.encrypt(&bytes),
-            None => bytes,
+    fn transport_encrypt(cipher: &mut Option<ChaCha20>, mut bytes: Vec<u8>) -> Vec<u8> {
+        if let Some(c) = cipher {
+            c.apply(&mut bytes);
         }
+        bytes
     }
 
     /// Open a browser connection for `user` to kernel `kernel_idx`.
@@ -318,12 +319,12 @@ impl NotebookServer {
             }
         };
         // E2E mode: encrypt the message body before framing.
-        let body: Vec<u8> = match &conn.msg_cipher_seed {
+        let body: Cow<[u8]> = match &conn.msg_cipher_seed {
             Some(seed) => {
                 let s = message_cipher_seed(seed, msg_seq, dir);
-                ChaCha20::from_seed(&s).encrypt(payload)
+                Cow::Owned(ChaCha20::from_seed(&s).encrypt(payload))
             }
-            None => payload.to_vec(),
+            None => Cow::Borrowed(payload),
         };
         let masked = dir == Direction::ToResponder; // client masks
         let frames = fragment(Opcode::Binary, &body, 1, masked);

@@ -10,7 +10,7 @@ use crate::reassembly::FlowBuf;
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_jupyter_proto::messages::MsgType;
-use ja_jupyter_proto::wire::WireMessage;
+use ja_jupyter_proto::wire::WireView;
 use ja_kernelsim::server::transport_seed;
 use ja_netsim::flow::FlowId;
 use ja_netsim::payload;
@@ -58,14 +58,30 @@ pub struct FlowAnalysis {
     pub up_entropy_bits: f64,
 }
 
+/// Default for [`crate::MonitorConfig::max_header_bytes`]: the HTTP
+/// header block a side may send before its CRLFCRLF, terminator
+/// included, as common HTTP servers cap it.
+pub const DEFAULT_MAX_HEADER_BYTES: usize = 16 * 1024;
+
 /// Analyze one reconstructed flow. `inspect_secret` is the per-server
 /// transport secret when the sensor is authorized for TLS inspection
-/// (None = purely passive).
+/// (None = purely passive). Headers are capped at
+/// [`DEFAULT_MAX_HEADER_BYTES`].
 pub fn analyze_flow(flow_id: FlowId, buf: &FlowBuf, inspect_secret: Option<&[u8]>) -> FlowAnalysis {
+    analyze_flow_capped(flow_id, buf, inspect_secret, DEFAULT_MAX_HEADER_BYTES)
+}
+
+/// [`analyze_flow`] with header blocks capped at `max_header` bytes.
+pub(crate) fn analyze_flow_capped(
+    flow_id: FlowId,
+    buf: &FlowBuf,
+    inspect_secret: Option<&[u8]>,
+    max_header: usize,
+) -> FlowAnalysis {
     let up_raw = &buf.up.data;
     let down_raw = &buf.down.data;
     // Try plaintext first; fall back to TLS inspection when keyed.
-    let attempt = |up: &[u8], down: &[u8]| try_parse(up, down);
+    let attempt = |up: &[u8], down: &[u8]| try_parse(up, down, max_header);
     let mut parsed = attempt(up_raw, down_raw);
     if parsed.is_none() {
         if let Some(secret) = inspect_secret {
@@ -103,22 +119,27 @@ pub fn analyze_flow(flow_id: FlowId, buf: &FlowBuf, inspect_secret: Option<&[u8]
 }
 
 /// Attempt full-stack parse of plaintext streams. Returns None when the
-/// stream is not an HTTP-upgrade-led WebSocket conversation.
+/// stream is not an HTTP-upgrade-led WebSocket conversation. A side's
+/// header counts only when its CRLFCRLF ends within `max_header` bytes:
+/// past that the upstream is not an upgrade, and the downstream yields
+/// no frames.
 #[allow(clippy::type_complexity)]
 fn try_parse(
     up: &[u8],
     down: &[u8],
+    max_header: usize,
 ) -> Option<(Option<UpgradeRequest>, Vec<ParsedKernelMsg>, usize)> {
+    let header_end = |side: &[u8]| find_double_crlf(&side[..side.len().min(max_header)]);
     // The upstream must start with a parseable HTTP upgrade.
-    let header_end = find_double_crlf(up)?;
-    let head = std::str::from_utf8(&up[..header_end]).ok()?;
+    let header_end_up = header_end(up)?;
+    let head = std::str::from_utf8(&up[..header_end_up]).ok()?;
     let handshake = UpgradeRequest::parse(head)?;
     let mut kernel_msgs = Vec::new();
     let mut opaque = 0usize;
     // Client frames after the upgrade.
-    parse_ws_side(&up[header_end..], &mut kernel_msgs, &mut opaque);
+    parse_ws_side(&up[header_end_up..], &mut kernel_msgs, &mut opaque);
     // Server frames after its 101 response.
-    if let Some(resp_end) = find_double_crlf(down) {
+    if let Some(resp_end) = header_end(down) {
         parse_ws_side(&down[resp_end..], &mut kernel_msgs, &mut opaque);
     }
     Some((Some(handshake), kernel_msgs, opaque))
@@ -154,15 +175,11 @@ pub(crate) fn observe_ws_message(
         Message::Text(t) => t.as_bytes(),
         _ => return,
     };
-    match WireMessage::decode(body) {
+    match WireView::decode(body) {
         Ok(Some((wire, _))) => {
             let msg_type = wire.msg_type();
             let code = (msg_type == Some(MsgType::ExecuteRequest))
-                .then(|| {
-                    serde_json::from_str::<serde_json::Value>(&wire.content)
-                        .ok()
-                        .and_then(|v| v["code"].as_str().map(str::to_string))
-                })
+                .then(|| execute_code(&wire.content))
                 .flatten();
             out.push(ParsedKernelMsg {
                 msg_type,
@@ -173,6 +190,14 @@ pub(crate) fn observe_ws_message(
         }
         _ => *opaque += 1,
     }
+}
+
+/// The `code` of `execute_request` content: exactly what
+/// `v["code"].as_str()` gives on the parsed tree `v`, read by a field
+/// scan that unescapes that one string and builds nothing else.
+fn execute_code(content: &str) -> Option<String> {
+    let [code] = serde_json::str_fields(content, ["code"]).ok()?;
+    code.into_str().map(String::from)
 }
 
 /// Classify how deep the analyzers saw, from what a parse recovered.
@@ -321,8 +346,38 @@ mod tests {
     }
 
     #[test]
+    fn execute_code_matches_tree_lookup() {
+        let tree = |content: &str| {
+            serde_json::from_str::<serde_json::Value>(content)
+                .ok()
+                .and_then(|v| v["code"].as_str().map(str::to_string))
+        };
+        let deep = |k: usize| format!(r#"{{"code":"x","d":{}{}}}"#, "[".repeat(k), "]".repeat(k));
+        for content in [
+            r#"{"code":"import os\nos.system('id')","silent":false}"#.to_string(),
+            r#"{"code":"a","code":"b"}"#.into(),
+            r#"{"code":5,"code":"b"}"#.into(),
+            r#"{"c\u006fde":"escaped key"}"#.into(),
+            r#"{"code":"\ud83d\ude00 \"q\" \\"}"#.into(),
+            r#"{"code":"x","n":170141183460469231731687303715884105728}"#.into(),
+            r#"{"code":"x","n":170141183460469231731687303715884105727}"#.into(),
+            r#"{"code":null}"#.into(),
+            r#"{"code":"x"} junk"#.into(),
+            r#"["code"]"#.into(),
+            deep(126),
+            deep(127),
+            deep(128),
+        ] {
+            assert_eq!(execute_code(&content), tree(&content), "{content}");
+        }
+        assert_eq!(execute_code(&deep(127)).as_deref(), Some("x"));
+        assert_eq!(execute_code(&deep(128)), None);
+    }
+
+    #[test]
     fn deeply_nested_execute_content_does_not_overflow_a_shard_stack() {
         use ja_jupyter_proto::messages::Header;
+        use ja_jupyter_proto::wire::WireMessage;
         // Attacker-controlled content nested 100k arrays deep, parsed
         // on a thread with the default 2 MiB stack shard workers get:
         // the message still counts, its code is simply unreadable.

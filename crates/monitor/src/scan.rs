@@ -125,8 +125,11 @@ enum SidePhase {
         /// A decode error froze this side (the full-buffer path drops the whole side).
         failed: bool,
     },
-    /// The upstream header failed UTF-8 or upgrade-request validation:
-    /// the whole flow is non-WebSocket (full-buffer `try_parse` → `None`).
+    /// This side reads nothing more: the upstream header failed UTF-8
+    /// or upgrade-request validation or ran past the header cap, so the
+    /// whole flow is non-WebSocket (full-buffer `try_parse` → `None`);
+    /// or the downstream header ran past the cap, so that side yields
+    /// no frames.
     Rejected,
 }
 
@@ -196,8 +199,10 @@ enum Inspect {
 
 impl FlowScanner {
     /// A scanner for flow `flow`; `inspect_secret` is the server's
-    /// transport secret when the sensor may decrypt the flow.
-    pub(crate) fn new(flow: FlowId, inspect_secret: Option<&[u8]>) -> Self {
+    /// transport secret when the sensor may decrypt the flow, and
+    /// `max_header` the header cap
+    /// ([`crate::MonitorConfig::max_header_bytes`]).
+    pub(crate) fn new(flow: FlowId, inspect_secret: Option<&[u8]>, max_header: usize) -> Self {
         let inspect = match inspect_secret {
             None => Inspect::Plain,
             Some(secret) => Inspect::Undecided(Box::new(Held {
@@ -212,7 +217,7 @@ impl FlowScanner {
         };
         FlowScanner {
             stats: ByteStats::new(),
-            proto: ProtoScan::default(),
+            proto: ProtoScan::new(max_header),
             inspect,
         }
     }
@@ -280,7 +285,7 @@ impl FlowScanner {
             }
             Inspect::Opaque => {}
             Inspect::Undecided(held) => {
-                if let Some(terminated) = held.hold(dir, chunk) {
+                if let Some(terminated) = held.hold(dir, chunk, self.proto.max_header) {
                     if let Some(held) = self.take_held() {
                         self.settle(*held, terminated, intel, scratch);
                     }
@@ -320,7 +325,7 @@ impl FlowScanner {
                 }
                 return;
             }
-            self.proto = ProtoScan::default();
+            self.proto = ProtoScan::new(self.proto.max_header);
         }
         self.decrypt(held, intel, scratch);
     }
@@ -361,8 +366,9 @@ impl Held {
     /// Hold one chunk. `Some(terminated)` once the plaintext attempt
     /// is decided: `true` when the upstream header is complete and
     /// must be parsed, `false` when the upstream cannot start with
-    /// `"GET "`.
-    fn hold(&mut self, dir: Direction, chunk: &PayloadBytes) -> Option<bool> {
+    /// `"GET "` or has run past the header cap `max_header` without a
+    /// terminator.
+    fn hold(&mut self, dir: Direction, chunk: &PayloadBytes, max_header: usize) -> Option<bool> {
         if dir == Direction::ToInitiator {
             self.down_len += chunk.len();
             self.down.push(chunk.clone());
@@ -374,7 +380,11 @@ impl Held {
         if breaks_upgrade_prefix(at, chunk) {
             return Some(false);
         }
-        advance_crlfcrlf(&mut self.crlf, chunk).then_some(true)
+        let within = &chunk[..chunk.len().min(max_header.saturating_sub(at))];
+        if advance_crlfcrlf(&mut self.crlf, within) {
+            return Some(true);
+        }
+        (self.up_len >= max_header).then_some(false)
     }
 }
 
@@ -426,7 +436,7 @@ fn advance_crlfcrlf(matched: &mut u8, chunk: &[u8]) -> bool {
 
 /// The protocol chain over one flow's plaintext bytes: HTTP upgrade →
 /// WebSocket framing → Jupyter wire → signature hits.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ProtoScan {
     up: SideScan,
     down: SideScan,
@@ -435,9 +445,23 @@ struct ProtoScan {
     url_hits: Option<(u64, Vec<u32>)>,
     /// The upstream header was rejected — the flow is non-WebSocket.
     rejected: bool,
+    /// The header cap: each side's CRLFCRLF must end within this many
+    /// bytes.
+    max_header: usize,
 }
 
 impl ProtoScan {
+    fn new(max_header: usize) -> Self {
+        ProtoScan {
+            up: SideScan::default(),
+            down: SideScan::default(),
+            handshake: None,
+            url_hits: None,
+            rejected: false,
+            max_header,
+        }
+    }
+
     fn feed(&mut self, dir: Direction, bytes: &[u8], intel: &mut FeedCache) {
         match dir {
             Direction::ToResponder => self.feed_up(bytes, intel),
@@ -458,7 +482,10 @@ impl ProtoScan {
                 return;
             }
             buf.extend_from_slice(bytes);
-            let Some(header_end) = scan_crlfcrlf(buf, searched) else {
+            let Some(header_end) = scan_crlfcrlf(buf, searched, self.max_header) else {
+                if buf.len() >= self.max_header {
+                    self.reject();
+                }
                 return;
             };
             // Validate exactly as the full-buffer path: UTF-8 over the header
@@ -494,7 +521,10 @@ impl ProtoScan {
             // The full-buffer path applies no validation to the downstream
             // header (the 101 response) — everything after its CRLFCRLF
             // is frame data.
-            let Some(header_end) = scan_crlfcrlf(buf, searched) else {
+            let Some(header_end) = scan_crlfcrlf(buf, searched, self.max_header) else {
+                if buf.len() >= self.max_header {
+                    self.down.phase = SidePhase::Rejected;
+                }
                 return;
             };
             let rest = buf[header_end..].to_vec();
@@ -565,9 +595,11 @@ impl ProtoScan {
 }
 
 /// Resume the CRLFCRLF search over `buf[*searched..]`, never
-/// re-examining bytes. Returns the index just past the terminator
-/// (identical to [`find_double_crlf`] on the full buffer).
-fn scan_crlfcrlf(buf: &[u8], searched: &mut usize) -> Option<usize> {
+/// re-examining bytes and never looking past `max_header`. Returns the
+/// index just past the terminator (identical to [`find_double_crlf`] on
+/// the full buffer cut at `max_header`).
+fn scan_crlfcrlf(buf: &[u8], searched: &mut usize, max_header: usize) -> Option<usize> {
+    let buf = &buf[..buf.len().min(max_header)];
     // Back up 3 bytes so a terminator straddling the previous chunk
     // boundary is seen.
     let from = searched.saturating_sub(3);
@@ -640,7 +672,7 @@ fn scan_plane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzers::analyze_flow;
+    use crate::analyzers::{analyze_flow, DEFAULT_MAX_HEADER_BYTES};
     use crate::reassembly::{FlowBuf, Reassembler};
     use crate::rules::RuleFeed;
     use ja_kernelsim::actions::CellScript;
@@ -685,7 +717,7 @@ mod tests {
 
     /// Feed `buf`'s upstream cut at `cuts`, then its downstream whole.
     fn feed(buf: &FlowBuf, secret: Option<&[u8]>, cuts: &[usize]) -> FlowScanner {
-        let mut scanner = FlowScanner::new(FLOW, secret);
+        let mut scanner = FlowScanner::new(FLOW, secret, DEFAULT_MAX_HEADER_BYTES);
         let (mut intel, mut scratch) = (no_intel(), Vec::new());
         let up = PayloadBytes::from(buf.up.data.clone());
         let mut at = 0;
@@ -721,7 +753,7 @@ mod tests {
     #[test]
     fn fewer_than_four_bytes_then_the_rest() {
         let (plain, secret) = session(TransportMode::PlainWs);
-        let mut scanner = FlowScanner::new(FLOW, Some(&secret));
+        let mut scanner = FlowScanner::new(FLOW, Some(&secret), DEFAULT_MAX_HEADER_BYTES);
         let (mut intel, mut scratch) = (no_intel(), Vec::new());
         let up = PayloadBytes::from(plain.up.data.clone());
         scanner.feed_up(&up.slice(0..2), &mut intel, &mut scratch);
@@ -755,6 +787,42 @@ mod tests {
         assert_matches_eager(scanner, &buf, Some(secret));
         // Without a secret the same upstream is simply not WebSocket.
         assert_matches_eager(feed(&buf, None, &[4, 10]), &buf, None);
+    }
+
+    #[test]
+    fn undecided_upstream_past_the_header_cap_is_decrypted() {
+        let secret = b"inspection-secret".as_slice();
+        let mut up = b"GET /".to_vec();
+        up.resize(DEFAULT_MAX_HEADER_BYTES + 1000, b'a');
+        let buf = flow_buf(&up, b"HTTP/1.1 101 Switching\r\n");
+        let cap = DEFAULT_MAX_HEADER_BYTES;
+        // Still undecided one byte short of the cap, decided at it.
+        let scanner = feed(&flow_buf(&up[..cap - 1], b""), Some(secret), &[5]);
+        assert!(matches!(scanner.inspect, Inspect::Undecided(_)));
+        let scanner = feed(&buf, Some(secret), &[5, cap]);
+        assert!(matches!(
+            scanner.inspect,
+            Inspect::Decrypt(_) | Inspect::Opaque
+        ));
+        assert!(scanner.buffered() < cap as u64);
+        assert_matches_eager(scanner, &buf, Some(secret));
+        // A terminator ending exactly at the cap still counts.
+        let head = b"GET /x HTTP/1.1\r\nUpgrade: websocket\r\nSec-WebSocket-Key: k\r\nX-Pad: ";
+        let mut at_cap = head.to_vec();
+        at_cap.resize(cap - 4, b'X');
+        at_cap.extend_from_slice(b"\r\n\r\n");
+        for (len, parses) in [(cap, true), (cap + 1, false)] {
+            let mut up = at_cap.clone();
+            up.insert(head.len(), b'X');
+            let up = if len == cap { &at_cap } else { &up };
+            let buf = flow_buf(up, b"");
+            for secret in [None, Some(secret)] {
+                let scanner = feed(&buf, secret, &[7]);
+                let (got, _) = feed(&buf, secret, &[7]).finalize(&mut no_intel());
+                assert_eq!(got.handshake.is_some(), parses, "{len} bytes");
+                assert_matches_eager(scanner, &buf, secret);
+            }
+        }
     }
 
     #[test]

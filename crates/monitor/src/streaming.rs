@@ -290,7 +290,11 @@ impl<'m> StreamingMonitor<'m> {
             // The inspection secret is chosen here, once, from the
             // flow's first record — every record carries the
             // five-tuple, so reordered captures choose identically.
-            let scanner = FlowScanner::new(FlowId(rec.flow_id), monitor.secret_for(&rec.tuple));
+            let scanner = FlowScanner::new(
+                FlowId(rec.flow_id),
+                monitor.secret_for(&rec.tuple),
+                monitor.config.max_header_bytes,
+            );
             LiveFlow {
                 buf,
                 last_seen: rec.time,
@@ -1064,6 +1068,83 @@ mod tests {
         assert_eq!(stats.bytes, 100_000);
         assert!(
             stats.peak_retained_bytes < 1000,
+            "retained {} bytes",
+            stats.peak_retained_bytes
+        );
+    }
+
+    /// A flow whose upstream sends `up` and then, like its downstream,
+    /// 100 × 1,000 bytes of its tail byte, if it has one: no header
+    /// terminator in either tail. Returns the engine's stats, after
+    /// checking them against the reference's.
+    fn unterminated_flow(up: &[u8], up_tail: Option<u8>, down_tail: Option<u8>) -> MonitorStats {
+        use ja_netsim::addr::{HostAddr, HostId};
+        use ja_netsim::network::Network;
+        use ja_netsim::segment::Direction;
+        let mut net = Network::new();
+        let f = net.open(
+            SimTime::ZERO,
+            HostAddr::internal(HostId(1)),
+            40_000,
+            HostAddr::internal(HostId(2)),
+            8888,
+        );
+        let mut t = net.send(SimTime::from_millis(1), f, Direction::ToResponder, up);
+        for _ in 0..100 {
+            if let Some(b) = up_tail {
+                t = net.send(t, f, Direction::ToResponder, &[b; 1000]);
+            }
+            if let Some(b) = down_tail {
+                t = net.send(t, f, Direction::ToInitiator, &[b; 1000]);
+            }
+        }
+        net.close(t, f, false);
+        let trace = net.into_trace();
+        let m = Monitor::default();
+        let (alerts, stats) = m.analyze_stream(1, StreamingConfig::batch(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
+        let (ref_alerts, reference) = m.analyze(&trace);
+        assert_eq!(alert_keys(&alerts), alert_keys(&ref_alerts));
+        assert_eq!(
+            (
+                stats.kernel_msgs,
+                stats.opaque_flows,
+                stats.full_content_flows
+            ),
+            (
+                reference.kernel_msgs,
+                reference.opaque_flows,
+                reference.full_content_flows
+            )
+        );
+        stats
+    }
+
+    #[test]
+    fn unterminated_upstream_header_is_capped() {
+        // `"GET /"` then 100 KB with no CRLFCRLF used to be held whole.
+        let stats = unterminated_flow(b"GET /", Some(b'a'), None);
+        assert_eq!((stats.flows, stats.opaque_flows), (1, 1));
+        assert!(
+            stats.peak_retained_bytes <= crate::analyzers::DEFAULT_MAX_HEADER_BYTES as u64,
+            "retained {} bytes",
+            stats.peak_retained_bytes
+        );
+    }
+
+    #[test]
+    fn unterminated_downstream_header_is_capped() {
+        // A valid upgrade, then 100 KB of downstream with no CRLFCRLF:
+        // the downstream stops at the cap and yields no frames.
+        let up = ja_websocket::handshake::UpgradeRequest::new("/api/kernels/k/channels", "hub", 7)
+            .to_http();
+        let stats = unterminated_flow(up.as_bytes(), None, Some(b'b'));
+        assert_eq!((stats.flows, stats.kernel_msgs), (1, 0));
+        assert!(
+            stats.peak_retained_bytes <= crate::analyzers::DEFAULT_MAX_HEADER_BYTES as u64,
             "retained {} bytes",
             stats.peak_retained_bytes
         );

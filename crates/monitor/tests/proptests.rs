@@ -1010,8 +1010,10 @@ proptest! {
     /// frames and well-formed kernel messages, or pure junk), cut into
     /// chunks at random boundaries and interleaved at random, with no
     /// inspection secret, a secret over plaintext, or a secret the
-    /// bytes are really encrypted under: the production engine never
-    /// panics, and its output equals the full-buffer reference's.
+    /// bytes are really encrypted under, and the header cap at its
+    /// default or small enough to cut through real headers: the
+    /// production engine never panics, and its output equals the
+    /// full-buffer reference's.
     #[test]
     fn arbitrary_flow_bytes_scan_like_the_reference(
         up in arb_side(UpgradeRequest::new("/api/kernels/k/channels?token=t0k", "hub:8888", 7).to_http()),
@@ -1022,6 +1024,7 @@ proptest! {
         order in proptest::collection::vec(any::<bool>(), 16),
         inspect in 0u8..3,
         publish in any::<bool>(),
+        max_header_bytes in prop_oneof![Just(MonitorConfig::default().max_header_bytes), 0usize..300],
     ) {
         let client = HostAddr::internal(HostId(1));
         let server = HostAddr::internal(HostId(2));
@@ -1062,7 +1065,10 @@ proptest! {
         }
         net.close(t, f, false);
         let trace = net.into_trace();
-        let mut cfg = MonitorConfig::default();
+        let mut cfg = MonitorConfig {
+            max_header_bytes,
+            ..MonitorConfig::default()
+        };
         if inspect > 0 {
             cfg = cfg.with_inspection(server, secret.clone());
         }

@@ -138,3 +138,96 @@ proptest! {
         }
     }
 }
+
+/// Any frame header: every opcode nibble (reserved ones included),
+/// random FIN/RSV bits, and each length form (7-bit, 16-bit, 64-bit).
+fn arb_frame_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<u8>(),
+        any::<bool>(),
+        prop_oneof![Just(None::<u8>), Just(Some(126u8)), Just(Some(127u8))],
+        collection::vec(any::<u8>(), 0..96),
+    )
+        .prop_map(|(b0, masked, long, rest)| {
+            let len_byte = match long {
+                Some(marker) => marker,
+                None => rest.len().min(125) as u8,
+            };
+            let mut out = vec![b0, len_byte | if masked { 0x80 } else { 0 }];
+            out.extend(rest);
+            out
+        })
+}
+
+proptest! {
+    /// The upgrade parser reads attacker-controlled header bytes: on
+    /// arbitrary text, and on arbitrary bytes after a real request
+    /// line, it never panics, and what it accepts comes from its input.
+    #[test]
+    fn upgrade_parse_is_total_on_arbitrary_bytes(
+        raw in collection::vec(any::<u8>(), 0..256),
+        rest in arb_header_rest()) {
+        let raw = String::from_utf8_lossy(&raw).into_owned();
+        for text in [raw.clone(), format!("GET {rest}{raw}"), format!("GET {raw}{rest}")] {
+            if let Some(req) = UpgradeRequest::parse(&text) {
+                prop_assert!(text.contains(&req.target), "target not from {:?}", text);
+                prop_assert!(text.contains(&req.key), "key not from {:?}", text);
+            }
+        }
+    }
+
+    /// `Frame::decode` on arbitrary bytes never panics, consumes no more
+    /// than it was given and needs all of what it consumes (every
+    /// shorter prefix asks for more bytes), and never yields a payload
+    /// larger than `max_payload`.
+    #[test]
+    fn frame_decode_is_bounded_on_arbitrary_bytes(
+        bytes in prop_oneof![arb_frame_bytes(), collection::vec(any::<u8>(), 0..64)],
+        max_payload in prop_oneof![Just(1u64 << 20), 0u64..130]) {
+        if let Ok(Some((frame, used))) = Frame::decode(&bytes, max_payload) {
+            prop_assert!(used <= bytes.len());
+            prop_assert!(frame.payload.len() as u64 <= max_payload);
+            prop_assert_eq!(
+                Frame::decode(&bytes[..used], max_payload),
+                Ok(Some((frame, used)))
+            );
+            for cut in 0..used {
+                prop_assert_eq!(Frame::decode(&bytes[..cut], max_payload), Ok(None));
+            }
+        }
+    }
+
+    /// Arbitrary frames fed to the decoder in arbitrary chunks, and the
+    /// frames it yields pushed through a small-capped assembler: nothing
+    /// panics, the decoder holds no more than it was fed, no data
+    /// message or partial one exceeds the cap, and the assembler never
+    /// yields more messages than frames it was pushed.
+    #[test]
+    fn fragmented_assembly_is_bounded_on_arbitrary_frames(
+        frames in collection::vec(arb_frame_bytes(), 0..12),
+        chunk in 1usize..40,
+        max_message in 0usize..200) {
+        let wire = frames.concat();
+        let mut dec = FrameDecoder::with_max_payload(300);
+        let mut asm = MessageAssembler::with_max_message(max_message);
+        let (mut fed, mut pushed, mut assembled) = (0, 0, 0);
+        for c in wire.chunks(chunk) {
+            fed += c.len();
+            let Ok(decoded) = dec.feed(c) else {
+                break;
+            };
+            prop_assert!(dec.buffered() <= fed);
+            for frame in decoded {
+                pushed += 1;
+                if let Ok(Some(msg)) = asm.push(frame) {
+                    assembled += 1;
+                    if let Message::Binary(b) = &msg {
+                        prop_assert!(b.len() <= max_message);
+                    }
+                }
+                prop_assert!(asm.buffered() <= max_message);
+            }
+        }
+        prop_assert!(assembled <= pushed);
+    }
+}
