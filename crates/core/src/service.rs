@@ -48,7 +48,6 @@ use crate::report::Report;
 use ja_attackgen::campaign::GroundTruth;
 use ja_attackgen::stream::{ScenarioItem, StreamSnapshot};
 use ja_crypto::sha256::sha256_hex;
-use ja_monitor::analyzers::DEFAULT_MAX_HEADER_BYTES;
 use ja_monitor::engine::shard_of;
 use ja_monitor::streaming::MonitorShardSnapshot;
 use ja_netsim::rng::{split_seed, SimRng};
@@ -163,27 +162,20 @@ impl ServiceConfig {
     /// A fingerprint of everything that must match between the config
     /// that wrote a checkpoint and the config restoring it — replay
     /// determinism holds only under an identical configuration.
-    ///
-    /// The monitor's header cap joined the configuration after format
-    /// version 1. At its default it is cut from the text, which is then
-    /// what it was before the field existed, so checkpoints written
-    /// before it still restore.
     fn fingerprint(&self) -> String {
-        let text = format!(
-            "v{}|{:?}|{}|{:?}|{:?}|{}|{:?}",
-            CHECKPOINT_VERSION,
-            self.pipeline,
-            self.seed,
-            self.checkpoint_items,
-            self.health,
-            self.epoch_gap.0,
-            self.wave,
+        sha256_hex(
+            format!(
+                "v{}|{:?}|{}|{:?}|{:?}|{}|{:?}",
+                CHECKPOINT_VERSION,
+                self.pipeline,
+                self.seed,
+                self.checkpoint_items,
+                self.health,
+                self.epoch_gap.0,
+                self.wave,
+            )
+            .as_bytes(),
         )
-        .replace(
-            &format!(", max_header_bytes: {DEFAULT_MAX_HEADER_BYTES}"),
-            "",
-        );
-        sha256_hex(text.as_bytes())
     }
 }
 
@@ -1087,19 +1079,6 @@ mod tests {
             SocService::restore(svc_config(22), &json),
             Err(RestoreError::ConfigMismatch)
         ));
-    }
-
-    #[test]
-    fn header_cap_changes_the_fingerprint_only_off_its_default() {
-        // The fingerprint cuts exactly this text from the config's
-        // `Debug`; if the field were printed differently, the cut would
-        // silently stop working.
-        let cut = format!(", max_header_bytes: {DEFAULT_MAX_HEADER_BYTES}");
-        let debug = format!("{:?}", svc_config(1).pipeline);
-        assert_eq!(debug.matches(&cut).count(), 1, "{debug}");
-        let mut capped = svc_config(1);
-        capped.pipeline.monitor.max_header_bytes = 1024;
-        assert_ne!(capped.fingerprint(), svc_config(1).fingerprint());
     }
 
     #[test]

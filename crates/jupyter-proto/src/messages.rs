@@ -5,7 +5,6 @@
 //! are JSON values on the wire; typed structs keep the simulators honest.
 
 use serde::{Deserialize, Serialize};
-use serde_json::StrField;
 
 /// Kernel protocol version we emit.
 pub const PROTOCOL_VERSION: &str = "5.3";
@@ -148,22 +147,6 @@ impl Header {
             msg_type,
             version: PROTOCOL_VERSION.into(),
         }
-    }
-
-    /// The message type of the header JSON `json`: exactly
-    /// `serde_json::from_str::<Header>(json).ok().map(|h| h.msg_type)`,
-    /// read by a scan of its string fields that builds nothing. Every
-    /// field is a string, so the header parses exactly when each field's
-    /// first occurrence holds a string and `msg_type`'s names a type.
-    pub fn msg_type_of(json: &str) -> Option<MsgType> {
-        let fields = [
-            "msg_type", "msg_id", "session", "username", "date", "version",
-        ];
-        let [msg_type, rest @ ..] = serde_json::str_fields(json, fields).ok()?;
-        if !rest.iter().all(|f| matches!(f, StrField::Str(_))) {
-            return None;
-        }
-        MsgType::from_name(&msg_type.into_str()?)
     }
 }
 

@@ -185,9 +185,9 @@ impl ClientSession {
             if !msg.verify(self.mac.as_ref()) {
                 return Err(WireError::BadSignature);
             }
-            let msg_type = msg.msg_type().ok_or(WireError::BadHeader)?;
-            trace.push((*channel, msg_type));
-            match msg_type {
+            let header = msg.parsed_header()?;
+            trace.push((*channel, header.msg_type));
+            match header.msg_type {
                 MsgType::Stream => {
                     let c: StreamContent =
                         serde_json::from_str(&msg.content).map_err(|_| WireError::BadHeader)?;

@@ -24,14 +24,18 @@
 //!   a `&str` into the buffer, copied only where `from_utf8_lossy` must
 //!   replace invalid bytes. [`WireMessage::decode`] is this decode plus
 //!   [`WireView::into_owned`].
-//!
-//! Both read the message type with [`Header::msg_type_of`], a scan of
-//! the header's string fields that gives what parsing the whole
-//! [`Header`] would, without building it.
 
 use crate::messages::{Header, MsgType};
 use ja_crypto::hmac::{self, HmacSha256};
 use std::borrow::Cow;
+
+/// The message type of the header JSON `header`, if it parses as a
+/// [`Header`].
+fn msg_type_of(header: &str) -> Option<MsgType> {
+    serde_json::from_str::<Header>(header)
+        .ok()
+        .map(|h| h.msg_type)
+}
 
 /// The ZMQ delimiter separating routing identities from the payload.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
@@ -147,7 +151,7 @@ impl WireMessage {
 
     /// Message type, if the header parses.
     pub fn msg_type(&self) -> Option<MsgType> {
-        Header::msg_type_of(&self.header)
+        msg_type_of(&self.header)
     }
 
     /// Serialize to the length-prefixed byte stream (see the module
@@ -281,7 +285,7 @@ impl<'a> WireView<'a> {
 
     /// Message type, if the header parses.
     pub fn msg_type(&self) -> Option<MsgType> {
-        Header::msg_type_of(&self.header)
+        msg_type_of(&self.header)
     }
 
     /// Total payload bytes, as [`WireMessage::payload_len`] counts them.

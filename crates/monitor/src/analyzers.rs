@@ -58,30 +58,22 @@ pub struct FlowAnalysis {
     pub up_entropy_bits: f64,
 }
 
-/// Default for [`crate::MonitorConfig::max_header_bytes`]: the HTTP
-/// header block a side may send before its CRLFCRLF, terminator
-/// included, as common HTTP servers cap it.
-pub const DEFAULT_MAX_HEADER_BYTES: usize = 16 * 1024;
+/// The most bytes a flow side may send before the CRLFCRLF ending its
+/// HTTP header block, terminator included, as common HTTP servers cap
+/// it. Header bytes are buffered until the terminator, so this bounds
+/// what a flow can make the sensor hold before it speaks WebSocket.
+/// Past it the upstream is not an upgrade (an inspected flow tries
+/// decryption), and the downstream yields no frames.
+pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// Analyze one reconstructed flow. `inspect_secret` is the per-server
 /// transport secret when the sensor is authorized for TLS inspection
-/// (None = purely passive). Headers are capped at
-/// [`DEFAULT_MAX_HEADER_BYTES`].
+/// (None = purely passive).
 pub fn analyze_flow(flow_id: FlowId, buf: &FlowBuf, inspect_secret: Option<&[u8]>) -> FlowAnalysis {
-    analyze_flow_capped(flow_id, buf, inspect_secret, DEFAULT_MAX_HEADER_BYTES)
-}
-
-/// [`analyze_flow`] with header blocks capped at `max_header` bytes.
-pub(crate) fn analyze_flow_capped(
-    flow_id: FlowId,
-    buf: &FlowBuf,
-    inspect_secret: Option<&[u8]>,
-    max_header: usize,
-) -> FlowAnalysis {
     let up_raw = &buf.up.data;
     let down_raw = &buf.down.data;
     // Try plaintext first; fall back to TLS inspection when keyed.
-    let attempt = |up: &[u8], down: &[u8]| try_parse(up, down, max_header);
+    let attempt = |up: &[u8], down: &[u8]| try_parse(up, down);
     let mut parsed = attempt(up_raw, down_raw);
     if parsed.is_none() {
         if let Some(secret) = inspect_secret {
@@ -120,16 +112,15 @@ pub(crate) fn analyze_flow_capped(
 
 /// Attempt full-stack parse of plaintext streams. Returns None when the
 /// stream is not an HTTP-upgrade-led WebSocket conversation. A side's
-/// header counts only when its CRLFCRLF ends within `max_header` bytes:
+/// header counts only when its CRLFCRLF ends within [`MAX_HEADER_BYTES`]:
 /// past that the upstream is not an upgrade, and the downstream yields
 /// no frames.
 #[allow(clippy::type_complexity)]
 fn try_parse(
     up: &[u8],
     down: &[u8],
-    max_header: usize,
 ) -> Option<(Option<UpgradeRequest>, Vec<ParsedKernelMsg>, usize)> {
-    let header_end = |side: &[u8]| find_double_crlf(&side[..side.len().min(max_header)]);
+    let header_end = |side: &[u8]| find_double_crlf(&side[..side.len().min(MAX_HEADER_BYTES)]);
     // The upstream must start with a parseable HTTP upgrade.
     let header_end_up = header_end(up)?;
     let head = std::str::from_utf8(&up[..header_end_up]).ok()?;
@@ -192,12 +183,15 @@ pub(crate) fn observe_ws_message(
     }
 }
 
-/// The `code` of `execute_request` content: exactly what
-/// `v["code"].as_str()` gives on the parsed tree `v`, read by a field
-/// scan that unescapes that one string and builds nothing else.
+/// The `code` of `execute_request` content. Read as a struct, so
+/// duplicate keys, non-string values and malformed content give what
+/// `v["code"].as_str()` gives on the parsed tree `v`.
 fn execute_code(content: &str) -> Option<String> {
-    let [code] = serde_json::str_fields(content, ["code"]).ok()?;
-    code.into_str().map(String::from)
+    #[derive(serde::Deserialize)]
+    struct Code {
+        code: Option<String>,
+    }
+    serde_json::from_str::<Code>(content).ok()?.code
 }
 
 /// Classify how deep the analyzers saw, from what a parse recovered.

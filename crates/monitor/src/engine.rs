@@ -11,12 +11,12 @@
 //!
 //! [`Monitor::analyze`] is the full-buffer reference: it reassembles a
 //! captured trace whole and runs the original analyzer chain
-//! ([`crate::analyzers::analyze_flow`]) on each flow's complete
-//! buffers. No production path calls it; the equivalence tests check
-//! the streaming engine against it.
+//! ([`analyze_flow`]) on each flow's complete buffers. No production
+//! path calls it; the equivalence tests check the streaming engine
+//! against it.
 
 use crate::alerts::Alert;
-use crate::analyzers::{analyze_flow_capped, DEFAULT_MAX_HEADER_BYTES};
+use crate::analyzers::analyze_flow;
 use crate::detectors::{self, Thresholds};
 use crate::features::FlowFeatures;
 use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
@@ -62,14 +62,6 @@ pub struct MonitorConfig {
     /// nothing. The SOC service raises the floor while a shard is
     /// behind and lowers it back on recovery.
     pub confidence_floor: f64,
-    /// The most bytes a flow side may send before the CRLFCRLF ending
-    /// its HTTP header block, terminator included (default
-    /// [`DEFAULT_MAX_HEADER_BYTES`]). Header bytes are buffered until the
-    /// terminator, so this bounds what a flow can make the sensor hold
-    /// before it speaks WebSocket. Past it the upstream is not an
-    /// upgrade (an inspected flow tries decryption), and the downstream
-    /// yields no frames.
-    pub max_header_bytes: usize,
 }
 
 impl Default for MonitorConfig {
@@ -83,7 +75,6 @@ impl Default for MonitorConfig {
             match_mode: MatchMode::default(),
             audit_trace_hosts: HashSet::new(),
             confidence_floor: 0.0,
-            max_header_bytes: DEFAULT_MAX_HEADER_BYTES,
         }
     }
 }
@@ -198,9 +189,8 @@ impl Monitor {
 
     /// The full-buffer reference engine: reassemble the whole capture,
     /// then analyze each flow in id order from its complete buffers —
-    /// [`FlowFeatures::from_flow`], [`crate::analyzers::analyze_flow`]
-    /// with the flow's inspection secret and the configured header cap,
-    /// the per-flow detectors and the intel feed —
+    /// [`FlowFeatures::from_flow`], [`analyze_flow`] with the flow's
+    /// inspection secret, the per-flow detectors and the intel feed —
     /// and finish like a streaming engine. It holds every flow to the
     /// end, so it is a test and bench oracle, not a production path
     /// (that is [`Monitor::analyze_stream`]). Its alerts and counts
@@ -223,8 +213,7 @@ impl Monitor {
                 continue;
             };
             let secret = buf.tuple.as_ref().and_then(|t| self.secret_for(t));
-            let analysis =
-                analyze_flow_capped(FlowId(*id), buf, secret, self.config.max_header_bytes);
+            let analysis = analyze_flow(FlowId(*id), buf, secret);
             let mut alerts = detectors::per_flow(&ff, &analysis, &rules, &self.config.thresholds);
             if !self.config.intel.is_empty() {
                 alerts.extend(detectors::feed_rule_hits(&ff, &analysis, &mut intel));

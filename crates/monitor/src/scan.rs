@@ -14,7 +14,9 @@
 //! - unconsumed decoder buffers (partial frame/message, pre-handshake
 //!   header bytes),
 //! - on a TLS-inspected flow, the delivered chunks held (zero-copy)
-//!   while its plaintext attempt is undecided,
+//!   while its plaintext attempt is undecided, at most
+//!   [`MAX_HEADER_BYTES`] per direction, and past that the decoder
+//!   buffers of a second chain reading the downstream decrypted,
 //! - parsed artifacts (kernel messages, handshake, feature
 //!   accumulators) — which the full-buffer path retains too.
 //!
@@ -38,16 +40,25 @@
 //!
 //! - **Undecided.** Delivered chunks are held as zero-copy
 //!   [`PayloadBytes`] while the upstream is checked for the header
-//!   terminator (CRLFCRLF).
+//!   terminator (CRLFCRLF). A downstream that reaches
+//!   [`MAX_HEADER_BYTES`] first is not held further: by then its header
+//!   has ended or never will under either reading, so the chain reads
+//!   it raw from then on, as it arrives, and a second chain reads it
+//!   decrypted beside it. A downstream side reads independently of the
+//!   upstream, so the winner's reading is exactly what a replay would
+//!   have read, and the loser's is dropped.
 //! - **Plaintext wins** when the upstream upgrade header parses: the
-//!   held chunks replay through the plaintext scanner and are dropped.
-//!   No keystream is ever generated.
-//! - **Plaintext loses** when that header is rejected, or as soon as
-//!   the upstream's first bytes differ from `"GET "` — every header
-//!   [`UpgradeRequest::parse`] accepts starts so, which a ja-websocket
-//!   property pins. A decrypting scanner with one [`ChaCha20`] cursor
-//!   per direction then replays the held chunks and decrypts each later
-//!   chunk as it arrives, into a reused scratch buffer.
+//!   held chunks replay through the plaintext chain and are dropped.
+//!   No keystream is generated unless the downstream reached the cap
+//!   first.
+//! - **Plaintext loses** when that header is rejected, runs past
+//!   [`MAX_HEADER_BYTES`], or as soon as the upstream's first bytes
+//!   differ from `"GET "` — every header [`UpgradeRequest::parse`]
+//!   accepts starts so, which a ja-websocket property pins. A
+//!   decrypting chain with one [`ChaCha20`] cursor per direction (the
+//!   downstream's chain and cursor, if it is already reading) then
+//!   replays the held chunks and decrypts each later chunk as it
+//!   arrives, into a reused scratch buffer.
 //! - **Decryption stops** once the decrypted upstream is rejected as
 //!   well: the flow is opaque whatever follows.
 //! - A flow still **undecided at eviction** (no terminator ever
@@ -81,7 +92,7 @@
 
 use crate::analyzers::{
     classify_visibility, find_double_crlf, observe_ws_message, FlowAnalysis, ParsedKernelMsg,
-    Visibility,
+    Visibility, MAX_HEADER_BYTES,
 };
 use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
 use ja_crypto::chacha::ChaCha20;
@@ -199,10 +210,8 @@ enum Inspect {
 
 impl FlowScanner {
     /// A scanner for flow `flow`; `inspect_secret` is the server's
-    /// transport secret when the sensor may decrypt the flow, and
-    /// `max_header` the header cap
-    /// ([`crate::MonitorConfig::max_header_bytes`]).
-    pub(crate) fn new(flow: FlowId, inspect_secret: Option<&[u8]>, max_header: usize) -> Self {
+    /// transport secret when the sensor may decrypt the flow.
+    pub(crate) fn new(flow: FlowId, inspect_secret: Option<&[u8]>) -> Self {
         let inspect = match inspect_secret {
             None => Inspect::Plain,
             Some(secret) => Inspect::Undecided(Box::new(Held {
@@ -213,11 +222,12 @@ impl FlowScanner {
                 up_len: 0,
                 down_len: 0,
                 crlf: 0,
+                decrypted_down: None,
             })),
         };
         FlowScanner {
             stats: ByteStats::new(),
-            proto: ProtoScan::new(max_header),
+            proto: ProtoScan::default(),
             inspect,
         }
     }
@@ -244,16 +254,16 @@ impl FlowScanner {
         self.read(Direction::ToInitiator, chunk, intel, scratch);
     }
 
-    /// Bytes the scanner itself is buffering (held chunks, or both
-    /// sides' header and codec buffers). Together with the
-    /// reassembler's pendings this is the flow's whole raw-byte
-    /// retention.
+    /// Bytes the scanner itself is buffering (both sides' header and
+    /// codec buffers, and while undecided the held chunks and the
+    /// decrypted downstream's buffers). Together with the reassembler's
+    /// pendings this is the flow's whole raw-byte retention.
     pub(crate) fn buffered(&self) -> u64 {
         let held = match &self.inspect {
-            Inspect::Undecided(held) => held.up_len + held.down_len,
+            Inspect::Undecided(held) => held.buffered(),
             _ => 0,
         };
-        self.proto.buffered() + held as u64
+        self.proto.buffered() + held
     }
 
     /// Finalize into the same shape the full-buffer analyzer produces, plus
@@ -284,8 +294,14 @@ impl FlowScanner {
                 }
             }
             Inspect::Opaque => {}
+            Inspect::Undecided(held) if dir == Direction::ToInitiator => {
+                for chunk in held.hold_down(chunk) {
+                    self.proto.feed_down(&chunk, intel);
+                    held.read_down(&chunk, intel, scratch);
+                }
+            }
             Inspect::Undecided(held) => {
-                if let Some(terminated) = held.hold(dir, chunk, self.proto.max_header) {
+                if let Some(terminated) = held.hold_up(chunk) {
                     if let Some(held) = self.take_held() {
                         self.settle(*held, terminated, intel, scratch);
                     }
@@ -325,19 +341,21 @@ impl FlowScanner {
                 }
                 return;
             }
-            self.proto = ProtoScan::new(self.proto.max_header);
         }
         self.decrypt(held, intel, scratch);
     }
 
     /// Switch to decryption: one keystream cursor per direction, the
-    /// held chunks replayed through them in stream order.
+    /// held chunks replayed through them in stream order. A downstream
+    /// already read decrypted keeps its chain and cursor.
     fn decrypt(&mut self, held: Held, intel: &mut FeedCache, scratch: &mut Vec<u8>) {
-        let cursor = |dir| ChaCha20::from_seed(&transport_seed(&held.secret, held.flow, dir));
-        self.inspect = Inspect::Decrypt(Box::new(Keystream {
-            up: cursor(Direction::ToResponder),
-            down: cursor(Direction::ToInitiator),
-        }));
+        let up = held.cursor(Direction::ToResponder);
+        let (down, proto) = match held.decrypted_down {
+            Some(down) => *down,
+            None => (held.cursor(Direction::ToInitiator), ProtoScan::default()),
+        };
+        self.proto = proto;
+        self.inspect = Inspect::Decrypt(Box::new(Keystream { up, down }));
         for chunk in &held.up {
             self.read(Direction::ToResponder, chunk, intel, scratch);
         }
@@ -360,31 +378,74 @@ struct Held {
     down_len: usize,
     /// Length of the CRLFCRLF prefix matched at the upstream's end.
     crlf: u8,
+    /// Once the downstream reached [`MAX_HEADER_BYTES`]: its keystream
+    /// cursor and the chain reading it decrypted.
+    decrypted_down: Option<Box<(ChaCha20, ProtoScan)>>,
 }
 
 impl Held {
-    /// Hold one chunk. `Some(terminated)` once the plaintext attempt
-    /// is decided: `true` when the upstream header is complete and
-    /// must be parsed, `false` when the upstream cannot start with
-    /// `"GET "` or has run past the header cap `max_header` without a
-    /// terminator.
-    fn hold(&mut self, dir: Direction, chunk: &PayloadBytes, max_header: usize) -> Option<bool> {
-        if dir == Direction::ToInitiator {
-            self.down_len += chunk.len();
-            self.down.push(chunk.clone());
-            return None;
-        }
+    /// The transport keystream of direction `dir`, from its start.
+    fn cursor(&self, dir: Direction) -> ChaCha20 {
+        ChaCha20::from_seed(&transport_seed(&self.secret, self.flow, dir))
+    }
+
+    /// Hold one upstream chunk. `Some(terminated)` once the plaintext
+    /// attempt is decided: `true` when the upstream header is complete
+    /// and must be parsed, `false` when the upstream cannot start with
+    /// `"GET "` or has reached [`MAX_HEADER_BYTES`] without a
+    /// terminator. So at most that many bytes are ever held.
+    fn hold_up(&mut self, chunk: &PayloadBytes) -> Option<bool> {
         let at = self.up_len;
         self.up_len += chunk.len();
         self.up.push(chunk.clone());
         if breaks_upgrade_prefix(at, chunk) {
             return Some(false);
         }
-        let within = &chunk[..chunk.len().min(max_header.saturating_sub(at))];
+        let within = &chunk[..chunk.len().min(MAX_HEADER_BYTES.saturating_sub(at))];
         if advance_crlfcrlf(&mut self.crlf, within) {
             return Some(true);
         }
-        (self.up_len >= max_header).then_some(false)
+        (self.up_len >= MAX_HEADER_BYTES).then_some(false)
+    }
+
+    /// Take one downstream chunk and return what both readings must
+    /// read now. Chunks are held while fewer than [`MAX_HEADER_BYTES`]
+    /// have arrived. Past that, each reading's downstream header has
+    /// ended or never will, so reading on bounds what is buffered: all
+    /// held chunks come back at once, then each chunk as it arrives.
+    fn hold_down(&mut self, chunk: &PayloadBytes) -> Vec<PayloadBytes> {
+        if self.decrypted_down.is_some() {
+            return vec![chunk.clone()];
+        }
+        self.down_len += chunk.len();
+        self.down.push(chunk.clone());
+        if self.down_len < MAX_HEADER_BYTES {
+            return Vec::new();
+        }
+        let key = self.cursor(Direction::ToInitiator);
+        self.decrypted_down = Some(Box::new((key, ProtoScan::default())));
+        self.down_len = 0;
+        std::mem::take(&mut self.down)
+    }
+
+    /// Read one downstream chunk decrypted, into `scratch`, unless that
+    /// reading's downstream reads nothing more.
+    fn read_down(&mut self, chunk: &[u8], intel: &mut FeedCache, scratch: &mut Vec<u8>) {
+        let Some(down) = self.decrypted_down.as_deref_mut() else {
+            return;
+        };
+        let (key, proto) = down;
+        if matches!(proto.down.phase, SidePhase::Rejected) {
+            return;
+        }
+        decrypt_into(key, chunk, scratch);
+        proto.feed_down(scratch, intel);
+    }
+
+    /// Bytes held: the chunks and the decrypted downstream's buffers.
+    fn buffered(&self) -> u64 {
+        let decrypted = self.decrypted_down.as_ref().map_or(0, |d| d.1.buffered());
+        (self.up_len + self.down_len) as u64 + decrypted
     }
 }
 
@@ -399,14 +460,20 @@ struct Keystream {
 impl Keystream {
     /// Decrypt `chunk` of direction `dir` into `out`.
     fn decrypt(&mut self, dir: Direction, chunk: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(chunk);
-        payload::count_copied(chunk.len() as u64);
-        match dir {
-            Direction::ToResponder => self.up.apply(out),
-            Direction::ToInitiator => self.down.apply(out),
-        }
+        let key = match dir {
+            Direction::ToResponder => &mut self.up,
+            Direction::ToInitiator => &mut self.down,
+        };
+        decrypt_into(key, chunk, out);
     }
+}
+
+/// Decrypt `chunk` with the cursor `key` into `out`.
+fn decrypt_into(key: &mut ChaCha20, chunk: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(chunk);
+    payload::count_copied(chunk.len() as u64);
+    key.apply(out);
 }
 
 /// Whether `chunk`, found at upstream offset `at`, contradicts the
@@ -436,7 +503,7 @@ fn advance_crlfcrlf(matched: &mut u8, chunk: &[u8]) -> bool {
 
 /// The protocol chain over one flow's plaintext bytes: HTTP upgrade →
 /// WebSocket framing → Jupyter wire → signature hits.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ProtoScan {
     up: SideScan,
     down: SideScan,
@@ -445,23 +512,9 @@ struct ProtoScan {
     url_hits: Option<(u64, Vec<u32>)>,
     /// The upstream header was rejected — the flow is non-WebSocket.
     rejected: bool,
-    /// The header cap: each side's CRLFCRLF must end within this many
-    /// bytes.
-    max_header: usize,
 }
 
 impl ProtoScan {
-    fn new(max_header: usize) -> Self {
-        ProtoScan {
-            up: SideScan::default(),
-            down: SideScan::default(),
-            handshake: None,
-            url_hits: None,
-            rejected: false,
-            max_header,
-        }
-    }
-
     fn feed(&mut self, dir: Direction, bytes: &[u8], intel: &mut FeedCache) {
         match dir {
             Direction::ToResponder => self.feed_up(bytes, intel),
@@ -482,8 +535,8 @@ impl ProtoScan {
                 return;
             }
             buf.extend_from_slice(bytes);
-            let Some(header_end) = scan_crlfcrlf(buf, searched, self.max_header) else {
-                if buf.len() >= self.max_header {
+            let Some(header_end) = scan_crlfcrlf(buf, searched) else {
+                if buf.len() >= MAX_HEADER_BYTES {
                     self.reject();
                 }
                 return;
@@ -521,8 +574,8 @@ impl ProtoScan {
             // The full-buffer path applies no validation to the downstream
             // header (the 101 response) — everything after its CRLFCRLF
             // is frame data.
-            let Some(header_end) = scan_crlfcrlf(buf, searched, self.max_header) else {
-                if buf.len() >= self.max_header {
+            let Some(header_end) = scan_crlfcrlf(buf, searched) else {
+                if buf.len() >= MAX_HEADER_BYTES {
                     self.down.phase = SidePhase::Rejected;
                 }
                 return;
@@ -595,11 +648,11 @@ impl ProtoScan {
 }
 
 /// Resume the CRLFCRLF search over `buf[*searched..]`, never
-/// re-examining bytes and never looking past `max_header`. Returns the
-/// index just past the terminator (identical to [`find_double_crlf`] on
-/// the full buffer cut at `max_header`).
-fn scan_crlfcrlf(buf: &[u8], searched: &mut usize, max_header: usize) -> Option<usize> {
-    let buf = &buf[..buf.len().min(max_header)];
+/// re-examining bytes and never looking past [`MAX_HEADER_BYTES`].
+/// Returns the index just past the terminator (identical to
+/// [`find_double_crlf`] on the full buffer cut at the cap).
+fn scan_crlfcrlf(buf: &[u8], searched: &mut usize) -> Option<usize> {
+    let buf = &buf[..buf.len().min(MAX_HEADER_BYTES)];
     // Back up 3 bytes so a terminator straddling the previous chunk
     // boundary is seen.
     let from = searched.saturating_sub(3);
@@ -672,7 +725,7 @@ fn scan_plane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzers::{analyze_flow, DEFAULT_MAX_HEADER_BYTES};
+    use crate::analyzers::analyze_flow;
     use crate::reassembly::{FlowBuf, Reassembler};
     use crate::rules::RuleFeed;
     use ja_kernelsim::actions::CellScript;
@@ -687,6 +740,11 @@ mod tests {
     /// One notebook session's reassembled flow and its server's
     /// transport secret.
     fn session(transport: TransportMode) -> (FlowBuf, Vec<u8>) {
+        session_running(transport, "import os; os.system('id')")
+    }
+
+    /// [`session`] running the cell `code`.
+    fn session_running(transport: TransportMode, code: &str) -> (FlowBuf, Vec<u8>) {
         let mut cfg = ServerConfig::hardened();
         cfg.transport = transport;
         let mut srv = NotebookServer::new(1, cfg, 11);
@@ -695,7 +753,7 @@ mod tests {
         let mut net = Network::new();
         let client = HostAddr::internal(HostId(200));
         let mut conn = srv.connect(&mut net, SimTime::ZERO, client, "alice", 0);
-        let script = CellScript::pure("import os; os.system('id')");
+        let script = CellScript::pure(code);
         srv.run_cell(&mut net, SimTime::from_millis(50), &mut conn, &script);
         let mut r = Reassembler::new();
         r.feed_trace(&net.into_trace());
@@ -717,7 +775,7 @@ mod tests {
 
     /// Feed `buf`'s upstream cut at `cuts`, then its downstream whole.
     fn feed(buf: &FlowBuf, secret: Option<&[u8]>, cuts: &[usize]) -> FlowScanner {
-        let mut scanner = FlowScanner::new(FLOW, secret, DEFAULT_MAX_HEADER_BYTES);
+        let mut scanner = FlowScanner::new(FLOW, secret);
         let (mut intel, mut scratch) = (no_intel(), Vec::new());
         let up = PayloadBytes::from(buf.up.data.clone());
         let mut at = 0;
@@ -753,7 +811,7 @@ mod tests {
     #[test]
     fn fewer_than_four_bytes_then_the_rest() {
         let (plain, secret) = session(TransportMode::PlainWs);
-        let mut scanner = FlowScanner::new(FLOW, Some(&secret), DEFAULT_MAX_HEADER_BYTES);
+        let mut scanner = FlowScanner::new(FLOW, Some(&secret));
         let (mut intel, mut scratch) = (no_intel(), Vec::new());
         let up = PayloadBytes::from(plain.up.data.clone());
         scanner.feed_up(&up.slice(0..2), &mut intel, &mut scratch);
@@ -790,12 +848,44 @@ mod tests {
     }
 
     #[test]
+    fn downstream_past_the_cap_before_the_upstream_is_read_not_held() {
+        // The server's bytes arrive while the plaintext attempt is
+        // undecided, more than the cap of them: past the cap both
+        // readings read them as they arrive, and the winner's is exactly
+        // what the whole-flow analysis reads.
+        let code = format!("x = '{}'", "a".repeat(2 * MAX_HEADER_BYTES));
+        for mode in [TransportMode::PlainWs, TransportMode::Tls] {
+            let (buf, secret) = session_running(mode, &code);
+            assert!(buf.down.data.len() > 2 * MAX_HEADER_BYTES);
+            let mut scanner = FlowScanner::new(FLOW, Some(&secret));
+            let (mut intel, mut scratch) = (no_intel(), Vec::new());
+            let down = PayloadBytes::from(buf.down.data.clone());
+            for at in (0..down.len()).step_by(997) {
+                let chunk = down.slice(at..down.len().min(at + 997));
+                scanner.feed_down(&chunk, &mut intel, &mut scratch);
+                assert!(scanner.buffered() < 2 * MAX_HEADER_BYTES as u64);
+            }
+            let Inspect::Undecided(held) = &scanner.inspect else {
+                panic!("{mode:?} decided without upstream bytes");
+            };
+            assert!(held.down.is_empty() && held.decrypted_down.is_some());
+            let up = PayloadBytes::from(buf.up.data.clone());
+            scanner.feed_up(&up, &mut intel, &mut scratch);
+            assert!(!matches!(scanner.inspect, Inspect::Undecided(_)));
+            let (got, _) = scanner.finalize(&mut no_intel());
+            let want = analyze_flow(FLOW, &buf, Some(&secret));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(got.visibility, Visibility::FullContent, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn undecided_upstream_past_the_header_cap_is_decrypted() {
         let secret = b"inspection-secret".as_slice();
         let mut up = b"GET /".to_vec();
-        up.resize(DEFAULT_MAX_HEADER_BYTES + 1000, b'a');
+        up.resize(MAX_HEADER_BYTES + 1000, b'a');
         let buf = flow_buf(&up, b"HTTP/1.1 101 Switching\r\n");
-        let cap = DEFAULT_MAX_HEADER_BYTES;
+        let cap = MAX_HEADER_BYTES;
         // Still undecided one byte short of the cap, decided at it.
         let scanner = feed(&flow_buf(&up[..cap - 1], b""), Some(secret), &[5]);
         assert!(matches!(scanner.inspect, Inspect::Undecided(_)));

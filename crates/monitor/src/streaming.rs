@@ -290,11 +290,7 @@ impl<'m> StreamingMonitor<'m> {
             // The inspection secret is chosen here, once, from the
             // flow's first record — every record carries the
             // five-tuple, so reordered captures choose identically.
-            let scanner = FlowScanner::new(
-                FlowId(rec.flow_id),
-                monitor.secret_for(&rec.tuple),
-                monitor.config.max_header_bytes,
-            );
+            let scanner = FlowScanner::new(FlowId(rec.flow_id), monitor.secret_for(&rec.tuple));
             LiveFlow {
                 buf,
                 last_seen: rec.time,
@@ -1073,34 +1069,50 @@ mod tests {
         );
     }
 
-    /// A flow whose upstream sends `up` and then, like its downstream,
-    /// 100 × 1,000 bytes of its tail byte, if it has one: no header
-    /// terminator in either tail. Returns the engine's stats, after
-    /// checking them against the reference's.
-    fn unterminated_flow(up: &[u8], up_tail: Option<u8>, down_tail: Option<u8>) -> MonitorStats {
+    /// A flow whose upstream sends `up` and its downstream `down`, each
+    /// then followed by 100 × its tail, inspected under a transport
+    /// secret or not. Returns the engine's stats, after checking them
+    /// against the reference's.
+    fn unterminated_flow(
+        inspect: bool,
+        (up, up_tail): (&[u8], &[u8]),
+        (down, down_tail): (&[u8], &[u8]),
+    ) -> MonitorStats {
         use ja_netsim::addr::{HostAddr, HostId};
         use ja_netsim::network::Network;
         use ja_netsim::segment::Direction;
         let mut net = Network::new();
+        let server = HostAddr::internal(HostId(2));
         let f = net.open(
             SimTime::ZERO,
             HostAddr::internal(HostId(1)),
             40_000,
-            HostAddr::internal(HostId(2)),
+            server,
             8888,
         );
-        let mut t = net.send(SimTime::from_millis(1), f, Direction::ToResponder, up);
-        for _ in 0..100 {
-            if let Some(b) = up_tail {
-                t = net.send(t, f, Direction::ToResponder, &[b; 1000]);
+        let mut t = SimTime::from_millis(1);
+        for (dir, bytes) in [(Direction::ToResponder, up), (Direction::ToInitiator, down)] {
+            if !bytes.is_empty() {
+                t = net.send(t, f, dir, bytes);
             }
-            if let Some(b) = down_tail {
-                t = net.send(t, f, Direction::ToInitiator, &[b; 1000]);
+        }
+        for _ in 0..100 {
+            for (dir, tail) in [
+                (Direction::ToResponder, up_tail),
+                (Direction::ToInitiator, down_tail),
+            ] {
+                if !tail.is_empty() {
+                    t = net.send(t, f, dir, tail);
+                }
             }
         }
         net.close(t, f, false);
         let trace = net.into_trace();
-        let m = Monitor::default();
+        let mut cfg = crate::MonitorConfig::default();
+        if inspect {
+            cfg = cfg.with_inspection(server, b"transport-secret".to_vec());
+        }
+        let m = Monitor::new(cfg);
         let (alerts, stats) = m.analyze_stream(1, StreamingConfig::batch(), |sink| {
             for r in trace.records() {
                 sink.accept(r.clone());
@@ -1126,10 +1138,10 @@ mod tests {
     #[test]
     fn unterminated_upstream_header_is_capped() {
         // `"GET /"` then 100 KB with no CRLFCRLF used to be held whole.
-        let stats = unterminated_flow(b"GET /", Some(b'a'), None);
+        let stats = unterminated_flow(false, (b"GET /", &[b'a'; 1000]), (b"", b""));
         assert_eq!((stats.flows, stats.opaque_flows), (1, 1));
         assert!(
-            stats.peak_retained_bytes <= crate::analyzers::DEFAULT_MAX_HEADER_BYTES as u64,
+            stats.peak_retained_bytes <= crate::analyzers::MAX_HEADER_BYTES as u64,
             "retained {} bytes",
             stats.peak_retained_bytes
         );
@@ -1141,12 +1153,34 @@ mod tests {
         // the downstream stops at the cap and yields no frames.
         let up = ja_websocket::handshake::UpgradeRequest::new("/api/kernels/k/channels", "hub", 7)
             .to_http();
-        let stats = unterminated_flow(up.as_bytes(), None, Some(b'b'));
+        let stats = unterminated_flow(false, (up.as_bytes(), b""), (b"", &[b'b'; 1000]));
         assert_eq!((stats.flows, stats.kernel_msgs), (1, 0));
         assert!(
-            stats.peak_retained_bytes <= crate::analyzers::DEFAULT_MAX_HEADER_BYTES as u64,
+            stats.peak_retained_bytes <= crate::analyzers::MAX_HEADER_BYTES as u64,
             "retained {} bytes",
             stats.peak_retained_bytes
         );
+    }
+
+    #[test]
+    fn undecided_inspected_flow_does_not_hold_its_downstream() {
+        // An inspected flow whose upstream stalls at `"GET /"` stays
+        // undecided, while 100 KB arrive downstream: with no header
+        // terminator, or after a 101 response as WebSocket frames.
+        // Besides the held upstream, the downstream held stays under
+        // the cap, and past it nothing is buffered but a partial frame.
+        use ja_websocket::frame::{Frame, Opcode};
+        let frames = Frame::unmasked(Opcode::Binary, vec![b'c'; 996]).encode();
+        assert_eq!(frames.len(), 1000);
+        let response = b"HTTP/1.1 101 Switching Protocols\r\n\r\n".as_slice();
+        for down in [(b"".as_slice(), &[b'b'; 1000][..]), (response, &frames[..])] {
+            let stats = unterminated_flow(true, (b"GET /", b""), down);
+            assert_eq!((stats.flows, stats.opaque_flows), (1, 1));
+            assert!(
+                stats.peak_retained_bytes < crate::analyzers::MAX_HEADER_BYTES as u64 + 5,
+                "retained {} bytes",
+                stats.peak_retained_bytes
+            );
+        }
     }
 }

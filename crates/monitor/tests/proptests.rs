@@ -1003,6 +1003,100 @@ fn arb_side(head: String) -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// `head`, an HTTP header block, padded with an `X-Pad` field to `len`
+/// bytes, terminator included.
+fn padded(head: &str, len: usize) -> Vec<u8> {
+    let fields = head.strip_suffix("\r\n").expect("a header block");
+    let fill = len - head.len() - "X-Pad: \r\n".len();
+    format!("{fields}X-Pad: {}\r\n\r\n", "p".repeat(fill)).into_bytes()
+}
+
+/// A side that runs past the header cap: its header block padded to
+/// end just inside or just past the cap, or a short header and then an
+/// opaque frame longer than the cap; kernel messages follow either way.
+fn arb_long_side(head: String) -> impl Strategy<Value = Vec<u8>> {
+    let cap = ja_monitor::analyzers::MAX_HEADER_BYTES;
+    let units = || proptest::collection::vec(arb_kernel_frames(), 0..4).prop_map(|u| u.concat());
+    let long_frame =
+        ja_websocket::Frame::unmasked(ja_websocket::Opcode::Binary, vec![0; cap]).encode();
+    let short_head = head.clone();
+    prop_oneof![
+        (cap - 3..cap + 2, units())
+            .prop_map(move |(len, body)| [padded(&head, len), body].concat()),
+        units().prop_map(move |body| [short_head.as_bytes(), &long_frame, &body].concat()),
+    ]
+}
+
+/// Send `up` and `down` over one flow, cut into chunks at `cuts_*` and
+/// interleaved by `order`, with no inspection secret (`inspect` 0), a
+/// secret over plaintext (1), or a secret the bytes are really
+/// encrypted under (2): the production engine never panics, and its
+/// output equals the full-buffer reference's.
+fn scan_like_the_reference(
+    (up, cuts_up): (&[u8], &[usize]),
+    (down, cuts_down): (&[u8], &[usize]),
+    order: &[bool],
+    inspect: u8,
+    publish: bool,
+) {
+    let client = HostAddr::internal(HostId(1));
+    let server = HostAddr::internal(HostId(2));
+    let secret = b"decoy-transport-secret".to_vec();
+    let mut net = Network::new().with_mss(48);
+    let f = net.open(SimTime::ZERO, client, 40_000, server, 8888);
+    let encrypt = |dir, bytes: &[u8]| {
+        let mut out = bytes.to_vec();
+        if inspect == 2 {
+            let seed = ja_kernelsim::server::transport_seed(&secret, f, dir);
+            ja_crypto::chacha::ChaCha20::from_seed(&seed).apply(&mut out);
+        }
+        out
+    };
+    let chunks = |bytes: &[u8], cuts: &[usize]| {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        at.extend([0, bytes.len()]);
+        at.sort_unstable();
+        at.windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| bytes[w[0]..w[1]].to_vec())
+            .collect::<Vec<_>>()
+    };
+    let ups = chunks(&encrypt(Direction::ToResponder, up), cuts_up);
+    let downs = chunks(&encrypt(Direction::ToInitiator, down), cuts_down);
+    let (mut ui, mut di) = (0, 0);
+    let mut t = SimTime::from_millis(1);
+    while ui < ups.len() || di < downs.len() {
+        let take_up = di == downs.len() || (ui < ups.len() && order[(ui + di) % order.len()]);
+        let (dir, chunk) = if take_up {
+            ui += 1;
+            (Direction::ToResponder, &ups[ui - 1])
+        } else {
+            di += 1;
+            (Direction::ToInitiator, &downs[di - 1])
+        };
+        t = net.send(t, f, dir, chunk) + Duration::from_millis(1);
+    }
+    net.close(t, f, false);
+    let trace = net.into_trace();
+    let mut cfg = MonitorConfig::default();
+    if inspect > 0 {
+        cfg = cfg.with_inspection(server, secret.clone());
+    }
+    let m = Monitor::new(cfg);
+    if publish {
+        for rule in scan_hot_rules() {
+            m.config.intel.publish(SimTime::ZERO, rule);
+        }
+    }
+    let engine = m.analyze_stream(1, StreamingConfig::batch(), |sink| {
+        for r in trace.records() {
+            sink.accept(r.clone());
+        }
+    });
+    let reference = m.analyze(&trace);
+    check_engine_matches_reference(&engine, &reference);
+}
+
 proptest! {
     /// The scanner parses attacker-controlled bytes — decoy traffic is
     /// hostile by construction. For arbitrary bytes in both directions
@@ -1010,10 +1104,8 @@ proptest! {
     /// frames and well-formed kernel messages, or pure junk), cut into
     /// chunks at random boundaries and interleaved at random, with no
     /// inspection secret, a secret over plaintext, or a secret the
-    /// bytes are really encrypted under, and the header cap at its
-    /// default or small enough to cut through real headers: the
-    /// production engine never panics, and its output equals the
-    /// full-buffer reference's.
+    /// bytes are really encrypted under: the production engine never
+    /// panics, and its output equals the full-buffer reference's.
     #[test]
     fn arbitrary_flow_bytes_scan_like_the_reference(
         up in arb_side(UpgradeRequest::new("/api/kernels/k/channels?token=t0k", "hub:8888", 7).to_http()),
@@ -1024,66 +1116,25 @@ proptest! {
         order in proptest::collection::vec(any::<bool>(), 16),
         inspect in 0u8..3,
         publish in any::<bool>(),
-        max_header_bytes in prop_oneof![Just(MonitorConfig::default().max_header_bytes), 0usize..300],
     ) {
-        let client = HostAddr::internal(HostId(1));
-        let server = HostAddr::internal(HostId(2));
-        let secret = b"decoy-transport-secret".to_vec();
-        let mut net = Network::new().with_mss(48);
-        let f = net.open(SimTime::ZERO, client, 40_000, server, 8888);
-        let encrypt = |dir, bytes: &[u8]| {
-            let mut out = bytes.to_vec();
-            if inspect == 2 {
-                let seed = ja_kernelsim::server::transport_seed(&secret, f, dir);
-                ja_crypto::chacha::ChaCha20::from_seed(&seed).apply(&mut out);
-            }
-            out
-        };
-        let chunks = |bytes: &[u8], cuts: &[usize]| {
-            let mut at: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
-            at.extend([0, bytes.len()]);
-            at.sort_unstable();
-            at.windows(2)
-                .filter(|w| w[0] < w[1])
-                .map(|w| bytes[w[0]..w[1]].to_vec())
-                .collect::<Vec<_>>()
-        };
-        let ups = chunks(&encrypt(Direction::ToResponder, &up), &cuts_up);
-        let downs = chunks(&encrypt(Direction::ToInitiator, &down), &cuts_down);
-        let (mut ui, mut di) = (0, 0);
-        let mut t = SimTime::from_millis(1);
-        while ui < ups.len() || di < downs.len() {
-            let take_up = di == downs.len() || (ui < ups.len() && order[(ui + di) % order.len()]);
-            let (dir, chunk) = if take_up {
-                ui += 1;
-                (Direction::ToResponder, &ups[ui - 1])
-            } else {
-                di += 1;
-                (Direction::ToInitiator, &downs[di - 1])
-            };
-            t = net.send(t, f, dir, chunk) + Duration::from_millis(1);
-        }
-        net.close(t, f, false);
-        let trace = net.into_trace();
-        let mut cfg = MonitorConfig {
-            max_header_bytes,
-            ..MonitorConfig::default()
-        };
-        if inspect > 0 {
-            cfg = cfg.with_inspection(server, secret.clone());
-        }
-        let m = Monitor::new(cfg);
-        if publish {
-            for rule in scan_hot_rules() {
-                m.config.intel.publish(SimTime::ZERO, rule);
-            }
-        }
-        let engine = m.analyze_stream(1, StreamingConfig::batch(), |sink| {
-            for r in trace.records() {
-                sink.accept(r.clone());
-            }
-        });
-        let reference = m.analyze(&trace);
-        check_engine_matches_reference(&engine, &reference);
+        scan_like_the_reference((&up, &cuts_up), (&down, &cuts_down), &order, inspect, publish);
+    }
+
+    /// Sides whose header or first frame runs past the header cap, cut
+    /// and interleaved as above: the engine's cap, its bounded hold of
+    /// an undecided inspected flow and its reading on past that hold
+    /// give the reference's output.
+    #[test]
+    fn sides_past_the_header_cap_scan_like_the_reference(
+        up in arb_long_side(UpgradeRequest::new("/api/kernels/k/channels?token=t0k", "hub:8888", 7).to_http()),
+        down in arb_long_side(ja_websocket::handshake::UpgradeResponse::accept(
+            &UpgradeRequest::new("/", "hub:8888", 7)).to_http()),
+        cuts_up in proptest::collection::vec(any::<usize>(), 0..8),
+        cuts_down in proptest::collection::vec(any::<usize>(), 0..8),
+        order in proptest::collection::vec(any::<bool>(), 16),
+        inspect in 0u8..3,
+        publish in any::<bool>(),
+    ) {
+        scan_like_the_reference((&up, &cuts_up), (&down, &cuts_down), &order, inspect, publish);
     }
 }
