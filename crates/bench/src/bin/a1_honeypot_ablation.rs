@@ -114,8 +114,7 @@ fn cell(
 }
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
-    let tiny = ja_bench::flag_from_args("--tiny");
+    let ja_bench::Args { seed, tiny, .. } = ja_bench::Args::from_env();
     let (production, trials) = if tiny { (4, 3) } else { (12, 5) };
     let decoy_axis: &[usize] = if tiny { &[0, 4] } else { &[0, 1, 2, 4, 8] };
     let prop_axis: &[u64] = if tiny { &[60] } else { &[60, 600, 3600] };

@@ -16,7 +16,7 @@ use ja_netsim::time::{Duration, SimTime};
 const TRIAGE_PER_HOUR: f64 = 10.0; // one analyst's sustainable rate
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E10: AI-scaled attack volume vs fixed monitoring capacity (seed {seed}) ===\n");
     println!(
         "{:>8} {:>10} {:>10} {:>12} {:>12} {:>14}",

@@ -17,11 +17,11 @@
 //! `BENCH_E11.json` with `peak_flat` and `resume_equal` verdicts.
 
 use ja_attackgen::AttackClass;
+use ja_bench::{alert_keys, finite};
 use ja_core::intel::IntelConfig;
 use ja_core::pipeline::{CampaignPlan, PipelineConfig};
 use ja_core::{QueueSource, ServiceConfig, SocService, WaveSpec};
 use ja_kernelsim::deployment::DeploymentSpec;
-use ja_netsim::time::SimTime;
 
 /// The whole `BENCH_E11.json` payload.
 #[derive(serde::Serialize)]
@@ -60,12 +60,6 @@ struct EpochRow {
     checkpoints: u64,
     cumulative_alerts: usize,
     wall_secs: Option<f64>,
-}
-
-/// `None` for non-finite values so the JSON carries `null`, never
-/// `NaN`/`inf`.
-fn finite(x: f64) -> Option<f64> {
-    x.is_finite().then_some(x)
 }
 
 fn soak_config(servers: usize, seed: u64, cadence: u64) -> ServiceConfig {
@@ -114,28 +108,9 @@ fn soak_source(seed: u64, epochs: u64) -> QueueSource {
     }
 }
 
-type AlertKey = (SimTime, AttackClass, Option<u32>, String, u64);
-
-fn alert_fingerprint(svc: &SocService) -> Vec<AlertKey> {
-    svc.report()
-        .alerts
-        .iter()
-        .map(|a| {
-            (
-                a.time,
-                a.class,
-                a.server_id,
-                a.detail.clone(),
-                a.confidence.to_bits(),
-            )
-        })
-        .collect()
-}
-
 fn main() {
-    let seed = ja_bench::seed_from_args();
-    let tiny = ja_bench::flag_from_args("--tiny");
-    let json = ja_bench::flag_from_args("--json");
+    let args = ja_bench::Args::from_env();
+    let (seed, tiny) = (args.seed, args.tiny);
     let (servers, epochs, cadence) = if tiny { (2, 4u64, 96) } else { (8, 12u64, 512) };
     println!("=== E11: always-on service soak ({servers} srv, {epochs} epochs, seed {seed}) ===\n");
 
@@ -254,7 +229,7 @@ fn main() {
     revived
         .run_epochs(&source, remaining)
         .expect("revived service finishes the soak");
-    let resume_equal = alert_fingerprint(&svc) == alert_fingerprint(&revived)
+    let resume_equal = alert_keys(&svc.report().alerts) == alert_keys(&revived.report().alerts)
         && svc.clock() == revived.clock()
         && svc.stats().segments == revived.stats().segments
         && svc.stats().intel_rules == revived.stats().intel_rules;
@@ -286,8 +261,9 @@ fn main() {
     );
     println!("(durable accumulators grow; the peak-live column is the state that must not.)");
 
-    if json {
-        let report = BenchReport {
+    args.emit(
+        "E11",
+        &BenchReport {
             seed,
             tiny,
             epochs,
@@ -307,9 +283,6 @@ fn main() {
             total_alerts: svc.report().alerts.len(),
             intel_rules: svc.stats().intel_rules,
             wall_secs: finite(wall_secs),
-        };
-        let out = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write("BENCH_E11.json", &out).expect("write BENCH_E11.json");
-        println!("\nwrote BENCH_E11.json");
-    }
+        },
+    );
 }

@@ -26,16 +26,18 @@
 //! buffer as it arrives. Decrypt copies are counted in the payload
 //! plane's copy accounting.
 //!
-//! Alert **bit-identity is asserted before any timing**: the comparison
-//! is only meaningful because both produce the same alert stream in
-//! the same order. The JSON keeps the reference's row under its
-//! historical key, `eager`. Reported per phase: bytes copied per byte
-//! captured (payload-plane materializations over offered payload
-//! bytes), allocations and allocated bytes per segment (counting
-//! global allocator), peak retained flow bytes, and end-to-end MB/s.
+//! Alert **bit-identity is asserted before any number is reported**:
+//! the comparison is only meaningful because both produce the same
+//! alert stream in the same order. The JSON has one section per
+//! workload, `plain` and `inspected`, each keeping the reference's row
+//! under its historical key, `eager`. Reported per phase: bytes copied
+//! per byte captured (payload-plane materializations over offered
+//! payload bytes), allocations and allocated bytes per segment
+//! (counting global allocator), peak retained flow bytes, and
+//! end-to-end MB/s.
 //!
 //! `--tiny` shrinks the workload for CI smoke (CI asserts
-//! `incremental.copies_per_byte < 1.5`, that incremental
+//! `plain.incremental.copies_per_byte < 1.5`, that incremental
 //! allocations/segment stay below the reference's, and that the
 //! inspected section is alert-identical with incremental peak
 //! retention below the reference's). `--json` writes
@@ -45,6 +47,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ja_bench::{alert_keys, finite};
 use ja_kernelsim::actions::{Action, CellScript};
 use ja_kernelsim::config::{ServerConfig, TransportMode};
 use ja_kernelsim::server::NotebookServer;
@@ -103,22 +106,17 @@ struct BenchReport {
     tiny: bool,
     sessions: usize,
     cells_per_session: usize,
-    segments: usize,
-    payload_bytes: u64,
-    identical_alerts: bool,
-    alerts: usize,
-    /// The full-buffer reference (historical key).
-    eager: PhaseRow,
-    incremental: PhaseRow,
+    /// Fewer bytes copied per byte captured on `plain`, as a fraction.
     copy_reduction: f64,
-    throughput_ratio: Option<f64>,
-    retained_ratio: f64,
-    inspected: InspectedReport,
+    /// The workload on `TransportMode::PlainWs`.
+    plain: Section,
+    /// The same workload on TLS, with the secret granted.
+    inspected: Section,
 }
 
-/// The inspected (TLS with the secret granted) section.
+/// The full-buffer reference and the engine on one workload.
 #[derive(serde::Serialize)]
-struct InspectedReport {
+struct Section {
     segments: usize,
     payload_bytes: u64,
     identical_alerts: bool,
@@ -141,12 +139,6 @@ struct PhaseRow {
     allocs_per_segment: f64,
     alloc_bytes: u64,
     peak_retained_bytes: u64,
-}
-
-/// `None` for non-finite values so the JSON carries `null`, never
-/// `NaN`/`inf`.
-fn finite(x: f64) -> Option<f64> {
-    x.is_finite().then_some(x)
 }
 
 /// Long-flow workload over `transport`: each session is one WebSocket flow
@@ -226,25 +218,24 @@ fn hot_rules() -> Vec<Rule> {
 struct PhaseOut {
     alerts: Vec<Alert>,
     stats: MonitorStats,
-    wall: f64,
     copied: u64,
     allocs: u64,
     alloc_bytes: u64,
 }
 
-/// One full run: the streaming engine, or with `reference` the
-/// full-buffer reference over the collected records. `rematerialize`
-/// reproduces the pre-change per-hop cost: every record handed to the
-/// monitor owns a fresh copy of its payload, exactly what
-/// `Vec<u8>`-owning records forced on every channel hop before the
-/// payload plane was refcounted. `inspect` grants the sensor a
-/// server's transport secret.
+/// One full run and its wall-clock seconds: the streaming engine, or
+/// with `reference` the full-buffer reference over the collected
+/// records. `rematerialize` reproduces the pre-change per-hop cost:
+/// every record handed to the monitor owns a fresh copy of its payload,
+/// exactly what `Vec<u8>`-owning records forced on every channel hop
+/// before the payload plane was refcounted. `inspect` grants the sensor
+/// a server's transport secret.
 fn run_phase(
     records: &[SegmentRecord],
     reference: bool,
     rematerialize: bool,
     inspect: Option<(HostAddr, &[u8])>,
-) -> PhaseOut {
+) -> (f64, PhaseOut) {
     let mut cfg = MonitorConfig::default();
     if let Some((addr, secret)) = inspect {
         cfg = cfg.with_inspection(addr, secret.to_vec());
@@ -278,39 +269,14 @@ fn run_phase(
     };
     let wall = started.elapsed().as_secs_f64();
     let (a1, b1) = alloc_snapshot();
-    PhaseOut {
+    let out = PhaseOut {
         alerts,
         stats,
-        wall,
         copied: payload::copied_bytes(),
         allocs: a1 - a0,
         alloc_bytes: b1 - b0,
-    }
-}
-
-type AlertKey = (
-    SimTime,
-    ja_attackgen::AttackClass,
-    u64,
-    Option<u32>,
-    Option<String>,
-    String,
-);
-
-fn fingerprint(alerts: &[Alert]) -> Vec<AlertKey> {
-    alerts
-        .iter()
-        .map(|a| {
-            (
-                a.time,
-                a.class,
-                a.confidence.to_bits(),
-                a.server_id,
-                a.user.clone(),
-                a.detail.clone(),
-            )
-        })
-        .collect()
+    };
+    (wall, out)
 }
 
 fn phase_row(p: &PhaseOut, payload_bytes: u64, segments: usize, wall: f64) -> PhaseRow {
@@ -326,74 +292,54 @@ fn phase_row(p: &PhaseOut, payload_bytes: u64, segments: usize, wall: f64) -> Ph
     }
 }
 
-/// The reference and the engine on one workload: alert identity
-/// checked first, then best-of-`reps` wall clock for each.
-struct Comparison {
-    identical: bool,
-    alerts: usize,
-    reference: PhaseRow,
-    incremental: PhaseRow,
-    reference_wall: f64,
-    incr_wall: f64,
-}
-
 /// Run the full-buffer reference and the incremental engine over
-/// `records` and compare them. `rematerialize_reference` gives the
-/// reference the pre-change per-hop payload copies.
+/// `records`, best-of-`reps` wall clock each, and check that their
+/// alert streams are bit-identical before any number is reported.
+/// `rematerialize_reference` gives the reference the pre-change per-hop
+/// payload copies. Copy and allocation counters are deterministic per
+/// run and read from the last repetition.
 fn compare(
     records: &[SegmentRecord],
     payload_bytes: u64,
     inspect: Option<(HostAddr, &[u8])>,
     rematerialize_reference: bool,
     reps: usize,
-) -> Comparison {
-    // Bit-identity gate: the perf comparison below is meaningless unless
-    // both agree byte-for-byte on the alert stream first.
-    let reference_run = || run_phase(records, true, rematerialize_reference, inspect);
-    let incr_run = || run_phase(records, false, false, inspect);
-    let reference0 = reference_run();
-    let incr0 = incr_run();
-    let identical = fingerprint(&reference0.alerts) == fingerprint(&incr0.alerts)
-        && reference0.stats.flows == incr0.stats.flows
-        && reference0.stats.kernel_msgs == incr0.stats.kernel_msgs;
+) -> Section {
+    let (reference_wall, reference) = ja_bench::best_of(reps, || {
+        run_phase(records, true, rematerialize_reference, inspect)
+    });
+    let (incr_wall, incr) = ja_bench::best_of(reps, || run_phase(records, false, false, inspect));
+    // The perf comparison is meaningless unless both agree
+    // byte-for-byte on the alert stream.
+    let identical = alert_keys(&reference.alerts) == alert_keys(&incr.alerts)
+        && reference.stats.flows == incr.stats.flows
+        && reference.stats.kernel_msgs == incr.stats.kernel_msgs;
     assert!(
         identical,
         "reference and incremental engine diverged: {} vs {} alerts",
-        reference0.alerts.len(),
-        incr0.alerts.len()
+        reference.alerts.len(),
+        incr.alerts.len()
     );
     assert!(
-        !reference0.alerts.is_empty(),
+        !reference.alerts.is_empty(),
         "workload produced no alerts; the signature path is not being measured"
     );
     println!(
         "bit-identity: {} alerts, {} kernel msgs, {} flows -> IDENTICAL to the reference\n",
-        reference0.alerts.len(),
-        reference0.stats.kernel_msgs,
-        reference0.stats.flows
+        reference.alerts.len(),
+        reference.stats.kernel_msgs,
+        reference.stats.flows
     );
-
-    // Timed phases: best-of-n wall clock; copy/alloc counters are
-    // deterministic per run and read from the final repetition.
-    let best_of = |first: PhaseOut, run: &dyn Fn() -> PhaseOut| {
-        let mut wall = first.wall;
-        let mut last = first;
-        for _ in 1..reps {
-            last = run();
-            wall = wall.min(last.wall);
-        }
-        (last, wall)
-    };
-    let alerts = reference0.alerts.len();
-    let (reference, reference_wall) = best_of(reference0, &reference_run);
-    let (incr, incr_wall) = best_of(incr0, &incr_run);
-    Comparison {
-        identical,
-        alerts,
-        reference: phase_row(&reference, payload_bytes, records.len(), reference_wall),
+    Section {
+        segments: records.len(),
+        payload_bytes,
+        identical_alerts: identical,
+        alerts: reference.alerts.len(),
+        retained_ratio: incr.stats.peak_retained_bytes as f64
+            / reference.stats.peak_retained_bytes as f64,
+        throughput_ratio: finite(reference_wall / incr_wall),
+        eager: phase_row(&reference, payload_bytes, records.len(), reference_wall),
         incremental: phase_row(&incr, payload_bytes, records.len(), incr_wall),
-        reference_wall,
-        incr_wall,
     }
 }
 
@@ -416,9 +362,8 @@ fn print_rows(rows: [(&str, &PhaseRow); 2]) {
 }
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
-    let tiny = ja_bench::flag_from_args("--tiny");
-    let json = ja_bench::flag_from_args("--json");
+    let args = ja_bench::Args::from_env();
+    let (seed, tiny) = (args.seed, args.tiny);
     let (sessions, cells, code_kb, reps) = if tiny { (3, 2, 8, 2) } else { (8, 6, 160, 3) };
     println!("=== E12: capture-plane hot path ({sessions} long flows, seed {seed}) ===\n");
 
@@ -431,12 +376,11 @@ fn main() {
     );
 
     let plain = compare(&records, payload_bytes, None, true, reps);
-    let (erow, irow) = (&plain.reference, &plain.incremental);
+    let (erow, irow) = (&plain.eager, &plain.incremental);
     print_rows([("reference", erow), ("incremental", irow)]);
 
     let copy_reduction = 1.0 - irow.copies_per_byte / erow.copies_per_byte;
-    let throughput_ratio = plain.reference_wall / plain.incr_wall;
-    let retained_ratio = irow.peak_retained_bytes as f64 / erow.peak_retained_bytes as f64;
+    let throughput_ratio = plain.throughput_ratio.unwrap_or(f64::NAN);
     println!(
         "\nbytes copied per byte captured: {:.3} -> {:.3} ({:.0}% fewer)",
         erow.copies_per_byte,
@@ -452,7 +396,7 @@ fn main() {
         "peak retained flow bytes: {} -> {} ({:.1}% of the reference; bounded by the reorder window, not flow length)",
         erow.peak_retained_bytes,
         irow.peak_retained_bytes,
-        retained_ratio * 100.0
+        plain.retained_ratio * 100.0
     );
 
     // The headline claims. Copy accounting and retention are
@@ -490,51 +434,32 @@ fn main() {
         false,
         reps,
     );
-    let (ierow, iirow) = (&inspected.reference, &inspected.incremental);
+    let (ierow, iirow) = (&inspected.eager, &inspected.incremental);
     print_rows([("reference", ierow), ("incremental", iirow)]);
-    let inspected_ratio = inspected.reference_wall / inspected.incr_wall;
-    let inspected_retained = iirow.peak_retained_bytes as f64 / ierow.peak_retained_bytes as f64;
     println!(
-        "\ninspected throughput: {:.1} -> {:.1} MB/s ({inspected_ratio:.2}x); peak retained {} -> {} ({:.1}% of the reference)",
+        "\ninspected throughput: {:.1} -> {:.1} MB/s ({:.2}x); peak retained {} -> {} ({:.1}% of the reference)",
         ierow.mb_per_sec.unwrap_or(f64::NAN),
         iirow.mb_per_sec.unwrap_or(f64::NAN),
+        inspected.throughput_ratio.unwrap_or(f64::NAN),
         ierow.peak_retained_bytes,
         iirow.peak_retained_bytes,
-        inspected_retained * 100.0
+        inspected.retained_ratio * 100.0
     );
     assert!(
         iirow.peak_retained_bytes < ierow.peak_retained_bytes,
         "inspected incremental retention not below the reference"
     );
 
-    if json {
-        let report = BenchReport {
+    args.emit(
+        "E12",
+        &BenchReport {
             seed,
             tiny,
             sessions,
             cells_per_session: cells,
-            segments: records.len(),
-            payload_bytes,
-            identical_alerts: plain.identical,
-            alerts: plain.alerts,
             copy_reduction,
-            throughput_ratio: finite(throughput_ratio),
-            retained_ratio,
-            eager: plain.reference,
-            incremental: plain.incremental,
-            inspected: InspectedReport {
-                segments: tls_records.len(),
-                payload_bytes: tls_bytes,
-                identical_alerts: inspected.identical,
-                alerts: inspected.alerts,
-                eager: inspected.reference,
-                incremental: inspected.incremental,
-                throughput_ratio: finite(inspected_ratio),
-                retained_ratio: inspected_retained,
-            },
-        };
-        let out = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write("BENCH_E12.json", &out).expect("write BENCH_E12.json");
-        println!("\nwrote BENCH_E12.json");
-    }
+            plain,
+            inspected,
+        },
+    );
 }

@@ -5,6 +5,8 @@
 use ja_core::taxonomy::Taxonomy;
 
 fn main() {
+    // Takes no seed; parsing still rejects a malformed command line.
+    ja_bench::Args::from_env();
     let taxonomy = Taxonomy::paper_fig1();
     println!("=== E1: Fig. 1 — Jupyter Notebook attack taxonomy ===\n");
     println!("{}", taxonomy.render());

@@ -18,7 +18,7 @@ use ja_netsim::network::Network;
 use ja_netsim::time::SimTime;
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E2: Fig. 2 — kernel communication flow (seed {seed}) ===\n");
     let mut cfg = ServerConfig::hardened();
     cfg.transport = TransportMode::PlainWs; // observable for the demo

@@ -8,7 +8,7 @@ use ja_core::oscrp;
 use ja_core::pipeline::{CampaignPlan, Pipeline, PipelineConfig};
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E3: Fig. 3 / Table 1 — OSCRP threat model (seed {seed}) ===\n");
     println!("{}", oscrp::render_table());
 

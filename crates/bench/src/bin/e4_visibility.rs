@@ -16,7 +16,7 @@ use ja_core::pipeline::{CampaignPlan, Pipeline, PipelineConfig};
 use ja_monitor::alerts::{Alert, AlertSource};
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E4: detection visibility by plane (seed {seed}) ===\n");
     let mut p = Pipeline::new(PipelineConfig::small_lab(seed));
     let out = p.run(&CampaignPlan::full_mix(seed));

@@ -5,14 +5,13 @@
 
 use ja_attackgen::evasion::{low_and_slow, RuleInferenceAttacker};
 use ja_attackgen::takeover::{campaign as takeover_campaign, TakeoverParams};
-use ja_core::metrics::{score, ScoringConfig};
 use ja_core::pipeline::{Pipeline, PipelineConfig};
 use ja_honeypot::{simulate_wave, WaveParams};
 use ja_netsim::rng::SimRng;
 use ja_netsim::time::SimTime;
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E6: evasion and the honeypot response (seed {seed}) ===\n");
 
     // (a) Low-and-slow brute force vs the windowed auth detector.
@@ -34,12 +33,6 @@ fn main() {
         });
         let slowed = low_and_slow(base, factor);
         let out = p.run_campaigns(vec![(SimTime::from_secs(60), slowed)], seed);
-        let board = score(
-            &out.report.alerts,
-            &out.scenario.ground_truth,
-            &ScoringConfig::default(),
-        );
-        let _ = board;
         let rate_hit = out
             .report
             .alerts

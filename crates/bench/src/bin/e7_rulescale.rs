@@ -19,6 +19,7 @@
 
 use ja_attackgen::campaign::{Campaign, CampaignStep};
 use ja_attackgen::AttackClass;
+use ja_bench::finite;
 use ja_core::pipeline::{Pipeline, PipelineConfig, RunOutcome};
 use ja_kernelsim::actions::CellScript;
 use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
@@ -59,12 +60,6 @@ struct PipelineRow {
     naive_segments_per_sec: Option<f64>,
     compiled_segments_per_sec: Option<f64>,
     compiled_speedup: Option<f64>,
-}
-
-/// `None` for non-finite values so the JSON carries `null`, never
-/// `NaN`/`inf`.
-fn finite(x: f64) -> Option<f64> {
-    x.is_finite().then_some(x)
 }
 
 /// `n` synthetic honeypot-learned signatures. All but the first are
@@ -174,28 +169,9 @@ fn code_heavy_campaigns(d: &Deployment) -> Vec<(SimTime, Campaign)> {
     campaigns
 }
 
-/// Everything observable about the alert sequence, for the identical-
-/// output assertion between modes.
-fn fingerprint(out: &RunOutcome) -> Vec<(SimTime, AttackClass, Option<u32>, String, u64)> {
-    out.report
-        .alerts
-        .iter()
-        .map(|a| {
-            (
-                a.time,
-                a.class,
-                a.server_id,
-                a.detail.clone(),
-                a.confidence.to_bits(),
-            )
-        })
-        .collect()
-}
-
 fn main() {
-    let seed = ja_bench::seed_from_args();
-    let tiny = ja_bench::flag_from_args("--tiny");
-    let json = ja_bench::flag_from_args("--json");
+    let args = ja_bench::Args::from_env();
+    let (seed, tiny) = (args.seed, args.tiny);
     let rule_counts: &[usize] = if tiny { &[8, 64] } else { &[8, 64, 512, 4096] };
     let max_rules = *rule_counts.last().expect("non-empty sweep");
     println!("=== E7-rulescale: signature matching vs rule count (seed {seed}) ===\n");
@@ -238,8 +214,9 @@ fn main() {
                     }
                 }
                 std::hint::black_box(hits);
-                started.elapsed().as_secs_f64()
+                (started.elapsed().as_secs_f64(), ())
             })
+            .0
         };
         let naive_secs = timed(&naive);
         let compiled_secs = timed(&compiled);
@@ -311,7 +288,7 @@ fn main() {
                 }
                 segments = out.monitor_stats.segments;
                 alerts = out.report.alerts.len();
-                prints.push((mode, fingerprint(&out)));
+                prints.push((mode, ja_bench::alert_keys(&out.report.alerts)));
             }
             // The two modes must be indistinguishable in output before
             // their timings are comparable.
@@ -348,15 +325,13 @@ fn main() {
     println!(" timing. naive cost grows with the feed; compiled pays one automaton pass per");
     println!(" payload plus one atomic epoch check per flow.)");
 
-    if json {
-        let report = BenchReport {
+    args.emit(
+        "E7",
+        &BenchReport {
             seed,
             tiny,
             matcher: matcher_rows,
             pipeline: pipeline_rows,
-        };
-        let out = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write("BENCH_E7.json", &out).expect("write BENCH_E7.json");
-        println!("\nwrote BENCH_E7.json");
-    }
+        },
+    );
 }

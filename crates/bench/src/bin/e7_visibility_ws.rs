@@ -49,9 +49,6 @@ fn run(mode: TransportMode, seed: u64) -> (usize, usize, Visibility, bool) {
     // Passive (no keys) first; then with TLS inspection.
     let passive = analyze_flow(FlowId(0), fb, None);
     let inspected = analyze_flow(FlowId(0), fb, Some(&srv.transport_secret));
-    // Expected: 1 request + 6 responses per cell (busy, input, stream,
-    // idle, reply) = 6 per cell.
-    let _expected = CELLS * 6;
     let code_visible = inspected.kernel_msgs.iter().any(|m| m.code.is_some());
     (
         passive.kernel_msgs.len(),
@@ -62,8 +59,10 @@ fn run(mode: TransportMode, seed: u64) -> (usize, usize, Visibility, bool) {
 }
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E7: WebSocket visibility under transport regimes (seed {seed}) ===\n");
+    // Six messages per cell: the request, then busy, input, stream,
+    // idle and the reply.
     println!(
         "session: {CELLS} executed cells = {} kernel messages on the wire\n",
         CELLS * 6

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 const FLEET: usize = 32;
 
 fn main() {
-    let seed = ja_bench::seed_from_args();
+    let seed = ja_bench::Args::from_env().seed;
     println!("=== E8: misconfiguration scan across fleets (seed {seed}) ===\n");
     println!("fleet size: {FLEET} single-user servers; sweeping per-axis misconfiguration rate\n");
     print!("{:<30}", "misconfiguration class");

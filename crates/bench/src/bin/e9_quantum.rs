@@ -25,6 +25,8 @@ fn harvest(curve: &AdoptionCurve, days: u32, sessions_per_day: u64) -> HarvestAd
 }
 
 fn main() {
+    // Takes no seed; parsing still rejects a malformed command line.
+    ja_bench::Args::from_env();
     println!("=== E9: harvest-now-decrypt-later exposure ===\n");
     println!(
         "traffic model: 200 sessions/day x 50 MB, sensitivity window 5 years, 10-year capture\n"

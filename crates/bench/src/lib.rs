@@ -1,109 +1,211 @@
 //! # ja-bench — experiment harness
 //!
-//! One binary per paper artifact/claim (see DESIGN.md §3 and
-//! EXPERIMENTS.md) plus criterion micro-benchmarks. This library holds
-//! the shared plumbing: seed handling and scenario/trace builders used
-//! by several binaries and benches.
+//! One binary per paper artifact/claim plus criterion micro-benchmarks.
+//! This library is the harness every binary shares: the command line
+//! ([`Args`]), the `BENCH_<name>.json` report ([`Args::emit`]), best-of
+//! timing ([`best_of`]), JSON-safe numbers ([`finite`]) and the alert
+//! identity that output-equivalence gates compare ([`alert_keys`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ja_attackgen::mixer::{run_scenario, ScenarioSpec};
 use ja_attackgen::AttackClass;
-use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
-use ja_monitor::alerts::Alert;
-use ja_monitor::engine::{Monitor, MonitorStats};
-use ja_monitor::streaming::StreamingConfig;
-use ja_netsim::trace::Trace;
+use ja_monitor::alerts::{Alert, AlertSource};
+use ja_netsim::addr::HostAddr;
+use ja_netsim::time::SimTime;
 
-/// Read `--seed N` from argv, defaulting to 42 so published numbers
-/// reproduce bit-for-bit.
-pub fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+/// The command line every experiment binary takes. Nothing else is
+/// accepted: a malformed value or an unknown flag is an error, never a
+/// silent default.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args {
+    /// `--seed N`; 42 when absent, so published numbers reproduce
+    /// bit-for-bit.
+    pub seed: u64,
+    /// `--tiny`: shrink a sweep to one small workload (CI smoke runs).
+    pub tiny: bool,
+    /// `--json`: also write the machine-readable report.
+    pub json: bool,
 }
 
-/// Is a bare flag (e.g. `--tiny`) present in argv? CI smoke runs use
-/// this to shrink a sweep to one small workload.
-pub fn flag_from_args(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Best (minimum) of `n` timed runs — benches use this to keep numbers
-/// stable on shared VMs.
-pub fn best_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..n.max(1)).map(|_| f()).fold(f64::MAX, f64::min)
-}
-
-/// Build a mixed-scenario trace of roughly increasing size by scaling
-/// benign sessions (the E5/E10 load generator).
-pub fn scaled_trace(servers: usize, sessions_per_server: usize, seed: u64) -> Trace {
-    let spec = DeploymentSpec {
-        servers,
-        misconfig_rate: 0.0,
-        weak_cred_fraction: 0.1,
-        breached_cred_fraction: 0.02,
-        mfa_fraction: 0.8,
-        decoys: 0,
-        seed,
-    };
-    let mut d = Deployment::build(&spec);
-    let out = run_scenario(
-        &mut d,
-        &ScenarioSpec {
-            benign_sessions_per_server: sessions_per_server,
-            attacks: vec![AttackClass::DataExfiltration, AttackClass::Cryptomining],
-            horizon_secs: 4 * 3600,
-            seed,
-        },
-    );
-    out.trace
-}
-
-/// Monitor-only analysis of a captured trace on `shards` streaming
-/// engines in batch (no early eviction) mode — the E5 monitor sweep and
-/// its criterion leg.
-pub fn monitor_only(monitor: &Monitor, trace: &Trace, shards: usize) -> (Vec<Alert>, MonitorStats) {
-    monitor.analyze_stream(shards, StreamingConfig::batch(), |sink| {
-        for r in trace.records() {
-            sink.accept(r.clone());
+impl Args {
+    /// Parse the arguments that follow the program name.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args {
+            seed: 42,
+            tiny: false,
+            json: false,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--seed" => {
+                    let value = args.next().ok_or("--seed needs a value")?;
+                    parsed.seed = value
+                        .parse()
+                        .map_err(|_| format!("--seed: `{value}` is not an unsigned integer"))?;
+                }
+                "--tiny" => parsed.tiny = true,
+                "--json" => parsed.json = true,
+                other => {
+                    return Err(format!(
+                        "unknown argument `{other}` (expected --seed N, --tiny, --json)"
+                    ))
+                }
+            }
         }
-    })
+        Ok(parsed)
+    }
+
+    /// Parse the process's arguments, or print the error and exit with
+    /// status 2.
+    pub fn from_env() -> Args {
+        Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// With `--json`, write `report` to `BENCH_<name>.json` in the
+    /// working directory.
+    pub fn emit(&self, name: &str, report: &impl serde::Serialize) {
+        if !self.json {
+            return;
+        }
+        let path = format!("BENCH_{name}.json");
+        let text = serde_json::to_string_pretty(report).expect("report serializes");
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}");
+    }
 }
 
-/// Print a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join(" | ")
+/// Run `run` `reps` times (at least once). Each run times itself, so
+/// its set-up stays off the clock; keep the best (minimum) of those
+/// seconds, with the last run's output. The minimum keeps numbers
+/// stable on shared VMs.
+pub fn best_of<T>(reps: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
+    let (mut best, mut last) = run();
+    for _ in 1..reps {
+        let (secs, out) = run();
+        best = best.min(secs);
+        last = out;
+    }
+    (best, last)
+}
+
+/// `None` for non-finite values, so a report carries `null`, never
+/// `NaN`/`inf`.
+pub fn finite(x: f64) -> Option<f64> {
+    x.is_finite().then_some(x)
+}
+
+/// Every field of an [`Alert`], the confidence by its bits.
+pub type AlertKey = (
+    SimTime,
+    AttackClass,
+    u64,
+    AlertSource,
+    Option<HostAddr>,
+    Option<u32>,
+    Option<String>,
+    String,
+);
+
+/// The keys of an alert stream: two streams have equal keys exactly
+/// when they are bit-identical, in the same order.
+pub fn alert_keys(alerts: &[Alert]) -> Vec<AlertKey> {
+    alerts
+        .iter()
+        .map(|a| {
+            (
+                a.time,
+                a.class,
+                a.confidence.to_bits(),
+                a.source,
+                a.host,
+                a.server_id,
+                a.user.clone(),
+                a.detail.clone(),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn scaled_trace_grows_with_load() {
-        let small = scaled_trace(2, 1, 1).summary().segments;
-        let large = scaled_trace(4, 3, 1).summary().segments;
-        assert!(large > small);
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn default_seed() {
-        assert_eq!(seed_from_args(), 42);
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                seed: 42,
+                tiny: false,
+                json: false
+            })
+        );
     }
 
     #[test]
-    fn absent_flag_is_false() {
-        assert!(!flag_from_args("--tiny"));
+    fn flags_and_seed_are_read() {
+        assert_eq!(
+            parse(&["--tiny", "--seed", "7", "--json"]),
+            Ok(Args {
+                seed: 7,
+                tiny: true,
+                json: true
+            })
+        );
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        for bad in [
+            &["--seed", "7x"][..],
+            &["--seed", "-1"],
+            &["--seed"],
+            &["--tiny", "--fast"],
+            &["7"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
     }
 
     #[test]
     fn best_of_picks_minimum() {
-        let mut runs = [3.0, 1.0, 2.0].into_iter();
-        assert_eq!(best_of(3, || runs.next().unwrap()), 1.0);
+        let mut runs = [(3.0, 'a'), (1.0, 'b'), (2.0, 'c')].into_iter();
+        assert_eq!(best_of(3, || runs.next().unwrap()), (1.0, 'c'));
+        assert_eq!(best_of(0, || (5.0, ())), (5.0, ()));
+    }
+
+    #[test]
+    fn alert_keys_see_every_field() {
+        let base = Alert::new(
+            SimTime::ZERO,
+            AttackClass::Ransomware,
+            0.5,
+            AlertSource::Network,
+        );
+        let changes: [fn(&mut Alert); 8] = [
+            |a| a.time = SimTime::from_secs(1),
+            |a| a.class = AttackClass::ZeroDay,
+            |a| a.confidence = 0.6,
+            |a| a.source = AlertSource::KernelAudit,
+            |a| a.host = Some(HostAddr(1)),
+            |a| a.server_id = Some(1),
+            |a| a.user = Some("alice".into()),
+            |a| a.detail = "x".into(),
+        ];
+        let key = alert_keys(std::slice::from_ref(&base));
+        for change in changes {
+            let mut a = base.clone();
+            change(&mut a);
+            assert_ne!(key, alert_keys(&[a]));
+        }
     }
 }

@@ -702,6 +702,21 @@ mod tests {
     }
 
     #[test]
+    fn worker_counts_come_from_the_config_not_the_pool() {
+        // CI runs this under RAYON_NUM_THREADS=1,2,4: whatever the pool
+        // width, the counts are the configured ones, and unset means 1.
+        for t in [1, 2, 4] {
+            let mut cfg = PipelineConfig::small_lab(1);
+            cfg.shards = Some(t);
+            cfg.producers = Some(t);
+            let p = Pipeline::new(cfg);
+            assert_eq!((p.shard_count(), p.producer_count()), (t, t));
+        }
+        let p = Pipeline::new(PipelineConfig::small_lab(1));
+        assert_eq!((p.shard_count(), p.producer_count()), (1, 1));
+    }
+
+    #[test]
     fn parallel_path_matches_sequential() {
         let mut p1 = Pipeline::new(PipelineConfig::small_lab(9));
         let o1 = p1.run(&CampaignPlan::single(AttackClass::Cryptomining));

@@ -165,6 +165,22 @@ fn notebook_worm_compromises_fleet_and_is_detected() {
         takeover_servers.len() >= 2,
         "worm detected on {takeover_servers:?} only"
     );
+    // The first takeover alert after the worm's first action falls
+    // inside its window: detection without the scorer's slack.
+    let first = out
+        .report
+        .alerts
+        .iter()
+        .filter(|a| a.class == AttackClass::AccountTakeover && a.time >= gt.start)
+        .map(|a| a.time)
+        .min()
+        .expect("worm flagged");
+    assert!(
+        first <= gt.end,
+        "first takeover alert at {first:?}, after the worm's window {:?}..{:?}",
+        gt.start,
+        gt.end
+    );
     let board = out.report.scoreboard.as_ref().expect("scored");
     let s = board.class(AttackClass::AccountTakeover);
     assert_eq!(s.detected, s.campaigns, "{}", board.render());
