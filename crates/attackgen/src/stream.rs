@@ -275,7 +275,7 @@ impl<'d> ScenarioStream<'d> {
         let sys_seq = vec![0u64; part.servers.len()];
         ScenarioStream {
             part,
-            net: Network::new().without_delivery(),
+            net: Network::new(),
             queue,
             campaigns: runs,
             pending: Vec::new(),
@@ -537,7 +537,7 @@ impl<'d> ScenarioStream<'d> {
                 let delivery = srv.deliver_cell(net, t, conn, script);
                 let outcome = interactive.then(|| {
                     conn.decode_outcome(&delivery)
-                        .expect("direct transport delivers well-formed replies")
+                        .expect("the server delivers well-formed replies")
                 });
                 (delivery.end, outcome)
             }

@@ -66,13 +66,9 @@ fn soak_config(servers: usize, seed: u64, cadence: u64) -> ServiceConfig {
     let mut pcfg = PipelineConfig::small_lab(seed);
     pcfg.deployment = DeploymentSpec {
         servers,
-        misconfig_rate: 0.0,
-        weak_cred_fraction: 0.1,
-        breached_cred_fraction: 0.02,
-        mfa_fraction: 0.8,
-        decoys: 1,
-        seed,
-    };
+        ..DeploymentSpec::small_lab(seed)
+    }
+    .with_decoys(1);
     pcfg.shards = Some(2);
     pcfg.producers = Some(2);
     pcfg.intel = Some(IntelConfig::default());

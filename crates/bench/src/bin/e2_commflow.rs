@@ -8,49 +8,34 @@
 use ja_jupyter_proto::messages::MsgType;
 use ja_jupyter_proto::session::validate_execute_sequence;
 use ja_kernelsim::actions::{Action, CellScript};
-use ja_kernelsim::config::{ServerConfig, TransportMode};
-use ja_kernelsim::server::NotebookServer;
+use ja_kernelsim::config::TransportMode;
 use ja_monitor::analyzers::analyze_flow;
-use ja_monitor::reassembly::Reassembler;
-use ja_netsim::addr::{HostAddr, HostId};
 use ja_netsim::flow::FlowId;
-use ja_netsim::network::Network;
 use ja_netsim::time::SimTime;
 
 fn main() {
     let seed = ja_bench::Args::from_env().seed;
     println!("=== E2: Fig. 2 — kernel communication flow (seed {seed}) ===\n");
-    let mut cfg = ServerConfig::hardened();
-    cfg.transport = TransportMode::PlainWs; // observable for the demo
-    let mut srv = NotebookServer::new(1, cfg, seed);
-    srv.provision_user("alice", SimTime::ZERO);
-    srv.start_kernel("alice", SimTime::ZERO);
-    let mut net = Network::new();
-    let mut conn = srv.connect(
-        &mut net,
-        SimTime::ZERO,
-        HostAddr::internal(HostId(200)),
-        "alice",
-        0,
-    );
     let script = CellScript::new(
         "import numpy as np\nprint(np.pi)",
         vec![Action::Print {
             text: "3.141592653589793\n".into(),
         }],
     );
-    srv.run_cell(&mut net, SimTime::from_millis(100), &mut conn, &script);
-    let trace = net.into_trace();
+    // Plain WebSocket, so the session is observable for the demo.
+    let session = ja_bench::notebook_session(
+        TransportMode::PlainWs,
+        seed,
+        SimTime::from_millis(100),
+        &[script],
+    );
 
     // The sensor's view.
-    let mut re = Reassembler::new();
-    re.feed_trace(&trace);
-    let fb = &re.flows()[&0];
-    let analysis = analyze_flow(FlowId(0), fb, None);
+    let analysis = analyze_flow(FlowId(0), &session.flow, None);
 
     println!(
         "capture: {} segments on the WebSocket flow",
-        trace.summary().segments
+        session.trace.summary().segments
     );
     println!(
         "handshake target: {}\n",

@@ -22,7 +22,7 @@ use ja_attackgen::AttackClass;
 use ja_bench::finite;
 use ja_core::pipeline::{Pipeline, PipelineConfig, RunOutcome};
 use ja_kernelsim::actions::CellScript;
-use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
+use ja_kernelsim::deployment::Deployment;
 use ja_monitor::matcher::MatchMode;
 use ja_monitor::rules::{Pattern, Rule, RuleOrigin, RuleSet};
 use ja_netsim::addr::{HostAddr, HostId};
@@ -100,15 +100,6 @@ fn corpus() -> Vec<String> {
 
 fn e2e_config(rules: &[Rule], mode: MatchMode, seed: u64) -> PipelineConfig {
     let mut cfg = PipelineConfig::small_lab(seed);
-    cfg.deployment = DeploymentSpec {
-        servers: 4,
-        misconfig_rate: 0.0,
-        weak_cred_fraction: 0.1,
-        breached_cred_fraction: 0.02,
-        mfa_fraction: 0.8,
-        decoys: 0,
-        seed,
-    };
     cfg.monitor.match_mode = mode;
     // Pre-publish the whole feed at t=0: every rule is available to
     // every flow, so the sweep measures matching cost, not gating.

@@ -6,49 +6,29 @@
 //! measure what fraction of kernel messages the sensor reconstructs.
 
 use ja_kernelsim::actions::{Action, CellScript};
-use ja_kernelsim::config::{ServerConfig, TransportMode};
-use ja_kernelsim::server::NotebookServer;
+use ja_kernelsim::config::TransportMode;
 use ja_monitor::analyzers::{analyze_flow, Visibility};
-use ja_monitor::reassembly::Reassembler;
-use ja_netsim::addr::{HostAddr, HostId};
 use ja_netsim::flow::FlowId;
-use ja_netsim::network::Network;
 use ja_netsim::time::SimTime;
 
 const CELLS: usize = 12;
 
 fn run(mode: TransportMode, seed: u64) -> (usize, usize, Visibility, bool) {
-    let mut cfg = ServerConfig::hardened();
-    cfg.transport = mode;
-    let mut srv = NotebookServer::new(1, cfg, seed);
-    srv.provision_user("alice", SimTime::ZERO);
-    srv.start_kernel("alice", SimTime::ZERO);
-    let mut net = Network::new();
-    let mut conn = srv.connect(
-        &mut net,
-        SimTime::ZERO,
-        HostAddr::internal(HostId(200)),
-        "alice",
-        0,
-    );
-    let mut t = SimTime::from_millis(50);
-    for i in 0..CELLS {
-        let script = CellScript::new(
-            &format!("step_{i} = analyze(run_{i})"),
-            vec![Action::Print {
-                text: format!("done {i}\n"),
-            }],
-        );
-        t = srv.run_cell(&mut net, t, &mut conn, &script);
-    }
-    let trace = net.into_trace();
-    let mut re = Reassembler::new();
-    re.feed_trace(&trace);
-    let fb = &re.flows()[&0];
+    let cells: Vec<CellScript> = (0..CELLS)
+        .map(|i| {
+            CellScript::new(
+                &format!("step_{i} = analyze(run_{i})"),
+                vec![Action::Print {
+                    text: format!("done {i}\n"),
+                }],
+            )
+        })
+        .collect();
+    let session = ja_bench::notebook_session(mode, seed, SimTime::from_millis(50), &cells);
 
     // Passive (no keys) first; then with TLS inspection.
-    let passive = analyze_flow(FlowId(0), fb, None);
-    let inspected = analyze_flow(FlowId(0), fb, Some(&srv.transport_secret));
+    let passive = analyze_flow(FlowId(0), &session.flow, None);
+    let inspected = analyze_flow(FlowId(0), &session.flow, Some(&session.secret));
     let code_visible = inspected.kernel_msgs.iter().any(|m| m.code.is_some());
     (
         passive.kernel_msgs.len(),

@@ -3,16 +3,24 @@
 //! One binary per paper artifact/claim plus criterion micro-benchmarks.
 //! This library is the harness every binary shares: the command line
 //! ([`Args`]), the `BENCH_<name>.json` report ([`Args::emit`]), best-of
-//! timing ([`best_of`]), JSON-safe numbers ([`finite`]) and the alert
-//! identity that output-equivalence gates compare ([`alert_keys`]).
+//! timing ([`best_of`]), JSON-safe numbers ([`finite`]), the alert
+//! identity that output-equivalence gates compare ([`alert_keys`]) and
+//! the one-user notebook session the protocol experiments capture
+//! ([`notebook_session`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ja_attackgen::AttackClass;
+use ja_kernelsim::actions::CellScript;
+use ja_kernelsim::config::{ServerConfig, TransportMode};
+use ja_kernelsim::server::NotebookServer;
 use ja_monitor::alerts::{Alert, AlertSource};
-use ja_netsim::addr::HostAddr;
+use ja_monitor::reassembly::{FlowBuf, Reassembler};
+use ja_netsim::addr::{HostAddr, HostId};
+use ja_netsim::network::Network;
 use ja_netsim::time::SimTime;
+use ja_netsim::trace::Trace;
 
 /// The command line every experiment binary takes. Nothing else is
 /// accepted: a malformed value or an unknown flag is an error, never a
@@ -129,6 +137,48 @@ pub fn alert_keys(alerts: &[Alert]) -> Vec<AlertKey> {
             )
         })
         .collect()
+}
+
+/// One user's notebook session as the sensor captures it.
+pub struct NotebookSession {
+    /// The whole capture.
+    pub trace: Trace,
+    /// The session flow (flow 0), reassembled.
+    pub flow: FlowBuf,
+    /// The server's transport secret, for TLS inspection.
+    pub secret: Vec<u8>,
+}
+
+/// Capture one session: a hardened server with `transport`, seeded
+/// `seed`, whose user `alice` connects at time zero and runs `cells`
+/// one after another from `start`.
+pub fn notebook_session(
+    transport: TransportMode,
+    seed: u64,
+    start: SimTime,
+    cells: &[CellScript],
+) -> NotebookSession {
+    let mut cfg = ServerConfig::hardened();
+    cfg.transport = transport;
+    let mut srv = NotebookServer::new(1, cfg, seed);
+    srv.provision_user("alice", SimTime::ZERO);
+    srv.start_kernel("alice", SimTime::ZERO);
+    let mut net = Network::new();
+    let client = HostAddr::internal(HostId(200));
+    let mut conn = srv.connect(&mut net, SimTime::ZERO, client, "alice", 0);
+    let mut t = start;
+    for script in cells {
+        t = srv.run_cell(&mut net, t, &mut conn, script);
+    }
+    let trace = net.into_trace();
+    let mut re = Reassembler::new();
+    re.feed_trace(&trace);
+    let flow = re.into_flows().remove(&0).expect("the session flow");
+    NotebookSession {
+        trace,
+        flow,
+        secret: srv.transport_secret,
+    }
 }
 
 #[cfg(test)]

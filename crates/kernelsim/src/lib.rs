@@ -31,9 +31,8 @@
 //! - [`actions`] — the cell effect model: what executing a cell *does*.
 //! - [`server`] — a single-user notebook server: kernels, sessions,
 //!   transport encryption, cell execution wiring everything together.
-//! - [`transport`] — the session transport seam: client requests in,
-//!   kernel replies out, with [`transport::DirectTransport`] as the
-//!   in-process implementation.
+//! - [`transport`] — what a client request gets back: the kernel's
+//!   replies, decoded by [`ClientConn::decode_outcome`].
 //! - [`hub`] — the JupyterHub front door: logins, spawning, auth log.
 //! - [`deployment`] — fleet builder for multi-server experiments.
 
@@ -58,4 +57,4 @@ pub use deployment::Deployment;
 pub use events::{SysEvent, SysEventKind};
 pub use hub::Hub;
 pub use server::{ClientConn, NotebookServer};
-pub use transport::{DirectTransport, SessionDelivery, SessionRequest, SessionTransport};
+pub use transport::SessionDelivery;

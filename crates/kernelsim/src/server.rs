@@ -353,8 +353,7 @@ impl NotebookServer {
     /// side effects hit the VFS/process table/network and are audited.
     /// Returns the time execution finished.
     ///
-    /// Thin wrapper over [`NotebookServer::deliver_cell`] — the
-    /// server-side message handling behind the transport seam — kept for
+    /// Thin wrapper over [`NotebookServer::deliver_cell`], kept for
     /// callers that don't consume replies.
     pub fn run_cell(
         &mut self,

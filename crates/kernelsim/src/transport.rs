@@ -1,42 +1,28 @@
-//! The session transport seam: client-side requests in, kernel replies
-//! out.
+//! What one client request gets back from a notebook server.
 //!
 //! The paper's threat model is a hands-on-keyboard attacker at a live
 //! REPL: a *client* that sends an execute request, reads the replies it
-//! gets back, and decides what to do next. [`SessionTransport`] is that
-//! seam — everything above it (scripted campaigns, interactive
-//! adversaries, the streamed/parallel/service pipelines) speaks
-//! [`SessionRequest`]/[`SessionDelivery`]; everything below it is
-//! server-side message handling. [`DirectTransport`] is the in-process
-//! implementation: same wire bytes, same audit events, same clock
-//! advance as the pre-seam `run_cell`/`run_terminal` fused paths —
-//! property-tested bit-identical — while leaving room for out-of-process
-//! transports later.
+//! gets back, and decides what to do next. A client opens a
+//! [`ClientConn`] with [`NotebookServer::connect`], sends a cell with
+//! [`NotebookServer::deliver_cell`] or a terminal command with
+//! [`NotebookServer::deliver_terminal`], and reads the
+//! [`SessionDelivery`] through [`ClientConn::decode_outcome`].
+//!
+//! [`ClientConn`]: crate::server::ClientConn
+//! [`ClientConn::decode_outcome`]: crate::server::ClientConn::decode_outcome
+//! [`NotebookServer::connect`]: crate::server::NotebookServer::connect
+//! [`NotebookServer::deliver_cell`]: crate::server::NotebookServer::deliver_cell
+//! [`NotebookServer::deliver_terminal`]: crate::server::NotebookServer::deliver_terminal
 
-use crate::actions::CellScript;
-use crate::server::{ClientConn, NotebookServer};
 use ja_jupyter_proto::channels::Channel;
-use ja_jupyter_proto::session::CellOutcome;
-use ja_jupyter_proto::wire::{WireError, WireMessage};
-use ja_netsim::addr::HostAddr;
-use ja_netsim::network::Network;
+use ja_jupyter_proto::wire::WireMessage;
 use ja_netsim::time::SimTime;
-
-/// One client-side request on a session: a cell for the kernel, or a
-/// command for the terminal channel. Borrows its payload — the hot path
-/// never clones scripts.
-#[derive(Clone, Copy, Debug)]
-pub enum SessionRequest<'a> {
-    /// Execute a notebook cell on the connection's kernel.
-    ExecuteCell(&'a CellScript),
-    /// Run a command in the user's terminal session.
-    TerminalCommand(&'a str),
-}
 
 /// What came back from delivering one request: the kernel's plaintext
 /// reply messages (empty for terminal requests), the terminal output
 /// text (terminal requests only), and the simulation time the exchange
-/// finished.
+/// finished. [`ClientConn::decode_outcome`](crate::server::ClientConn::decode_outcome)
+/// turns it into a typed outcome.
 #[derive(Clone, Debug)]
 pub struct SessionDelivery {
     /// Kernel protocol replies, `(channel, message)`, in emission order.
@@ -47,92 +33,14 @@ pub struct SessionDelivery {
     pub end: SimTime,
 }
 
-impl SessionDelivery {
-    /// Decode this delivery into a typed outcome via the connection's
-    /// client session — the conformance check at the transport boundary
-    /// (replies are signature-verified and their trace validated against
-    /// the canonical execute sequence).
-    pub fn outcome(&self, conn: &ClientConn) -> Result<CellOutcome, WireError> {
-        conn.decode_outcome(self)
-    }
-}
-
-/// A way to reach a notebook server's session plane: open connections
-/// and deliver requests on them. Implementations must preserve the
-/// server's observable behavior — wire bytes, audit events, clock
-/// advance — so callers can swap transports without changing results.
-pub trait SessionTransport {
-    /// Open a browser connection for `user` to kernel `kernel_idx`,
-    /// performing the HTTP upgrade on the wire.
-    fn connect(
-        &mut self,
-        net: &mut Network,
-        at: SimTime,
-        client_addr: HostAddr,
-        user: &str,
-        kernel_idx: usize,
-    ) -> ClientConn;
-
-    /// Deliver one request over `conn`, returning the kernel's replies.
-    fn deliver(
-        &mut self,
-        net: &mut Network,
-        at: SimTime,
-        conn: &mut ClientConn,
-        request: SessionRequest<'_>,
-    ) -> SessionDelivery;
-}
-
-/// The in-process transport: requests are handled by the server behind
-/// the same `&mut` the caller already holds. This is the pre-refactor
-/// fused path behind the seam — bit-identical by construction and
-/// pinned so by the equivalence proptests.
-pub struct DirectTransport<'a> {
-    /// The server being driven.
-    pub server: &'a mut NotebookServer,
-}
-
-impl<'a> DirectTransport<'a> {
-    /// Wrap a server borrow as a transport.
-    pub fn new(server: &'a mut NotebookServer) -> Self {
-        DirectTransport { server }
-    }
-}
-
-impl SessionTransport for DirectTransport<'_> {
-    fn connect(
-        &mut self,
-        net: &mut Network,
-        at: SimTime,
-        client_addr: HostAddr,
-        user: &str,
-        kernel_idx: usize,
-    ) -> ClientConn {
-        self.server.connect(net, at, client_addr, user, kernel_idx)
-    }
-
-    fn deliver(
-        &mut self,
-        net: &mut Network,
-        at: SimTime,
-        conn: &mut ClientConn,
-        request: SessionRequest<'_>,
-    ) -> SessionDelivery {
-        match request {
-            SessionRequest::ExecuteCell(script) => self.server.deliver_cell(net, at, conn, script),
-            SessionRequest::TerminalCommand(cmdline) => {
-                self.server.deliver_terminal(net, at, conn, cmdline)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::actions::Action;
+    use crate::actions::{Action, CellScript};
     use crate::config::ServerConfig;
-    use ja_netsim::addr::HostId;
+    use crate::server::NotebookServer;
+    use ja_netsim::addr::{HostAddr, HostId};
+    use ja_netsim::network::Network;
+    use ja_netsim::time::SimTime;
 
     fn boot() -> (NotebookServer, Network) {
         let mut srv = NotebookServer::new(1, ServerConfig::hardened(), 42);
@@ -157,15 +65,9 @@ mod tests {
                 text: "hi\n".into(),
             }],
         );
-        let mut transport = DirectTransport::new(&mut srv);
-        let delivery = transport.deliver(
-            &mut net,
-            SimTime::from_secs(1),
-            &mut conn,
-            SessionRequest::ExecuteCell(&script),
-        );
+        let delivery = srv.deliver_cell(&mut net, SimTime::from_secs(1), &mut conn, &script);
         assert!(delivery.end > SimTime::from_secs(1));
-        let outcome = delivery.outcome(&conn).unwrap();
+        let outcome = conn.decode_outcome(&delivery).unwrap();
         assert!(outcome.succeeded());
         assert_eq!(outcome.stdout, "hi\n");
     }
@@ -187,7 +89,7 @@ mod tests {
             }],
         );
         let delivery = srv.deliver_cell(&mut net, SimTime::from_secs(1), &mut conn, &script);
-        let outcome = delivery.outcome(&conn).unwrap();
+        let outcome = conn.decode_outcome(&delivery).unwrap();
         assert!(outcome.stderr.contains("FileNotFoundError"));
     }
 
@@ -207,7 +109,7 @@ mod tests {
             &mut conn,
             "ls /home/alice/data/",
         );
-        let outcome = delivery.outcome(&conn).unwrap();
+        let outcome = conn.decode_outcome(&delivery).unwrap();
         assert!(outcome.succeeded());
         assert!(outcome.stdout.contains("/home/alice/data/run_0.csv"));
         // Exactly one process spawned, exactly one proc_exec audited.

@@ -10,7 +10,6 @@ use crate::analyzers::FlowAnalysis;
 use crate::features::FlowFeatures;
 use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
 use crate::rules::{Pattern, Rule, RuleOrigin};
-use crate::scan::ScanHits;
 use ja_attackgen::AttackClass;
 use ja_kernelsim::config::MisconfigClass;
 use ja_kernelsim::hub::{AuthEvent, AuthOutcome};
@@ -206,6 +205,10 @@ fn rule_hit<D: FnOnce() -> String>(features: &FlowFeatures, rule: &Rule, detail:
 /// against the upgrade target. Port and cmdline patterns belong to the
 /// static detectors and the audit plane respectively.
 ///
+/// Both the streaming engine (at eviction) and the full-buffer
+/// reference call this, so a rule published while a flow is live is
+/// matched against it under the eviction-time snapshot.
+///
 /// In [`MatchMode::Compiled`] the cache's generation-stamped snapshot
 /// is consulted: each payload is scanned once by the cached automata,
 /// hits are re-ordered to the naive (publish-order) sequence and then
@@ -218,27 +221,8 @@ pub fn feed_rule_hits(
     analysis: &FlowAnalysis,
     cache: &mut FeedCache,
 ) -> Vec<Alert> {
-    feed_rule_hits_scanned(features, analysis, cache, &ScanHits::default())
-}
-
-/// [`feed_rule_hits`] for a flow the incremental scanner analyzed:
-/// signature hits were already collected message-by-message as bytes
-/// arrived (single pass, under the feed generation current at arrival)
-/// and only need re-validation here. If the feed epoch moved between a
-/// payload's arrival and the flow's eviction, or no hits were stored
-/// for it, that payload is rescanned from the retained parsed string
-/// under the eviction-time snapshot — so output is identical to a scan
-/// of every payload at eviction, across mid-flow publishes.
-pub(crate) fn feed_rule_hits_scanned(
-    features: &FlowFeatures,
-    analysis: &FlowAnalysis,
-    cache: &mut FeedCache,
-    scanned: &ScanHits,
-) -> Vec<Alert> {
     let mut alerts = Vec::new();
     if cache.mode() == MatchMode::Naive {
-        // Naive mode never pre-scans (the scanner stores no hits): the
-        // reference walk needs only the parsed artifacts.
         cache
             .feed()
             .for_each_available(features.start, |rule| match &rule.pattern {
@@ -268,34 +252,24 @@ pub(crate) fn feed_rule_hits_scanned(
     if cache.is_empty() {
         return alerts;
     }
-    let generation = cache.generation();
     let (compiled, avail) = cache.parts();
-    // Collect (rule index, payload index) hit pairs — stored, or from
-    // one automaton pass per payload — then sort: the naive walk emits
-    // rule-major (publish order), payload-minor, and a feed rule
-    // matches exactly one plane, so this ordering reproduces it
-    // bit-identically. Rule indices per payload are ascending either
-    // way (pattern ids map to rule indices order-preservingly).
-    let mut scratch = Vec::new();
-    let mut ids = Vec::new();
+    // Collect (rule index, payload index) hit pairs from one automaton
+    // pass per payload, then sort: the naive walk emits rule-major
+    // (publish order), payload-minor, and a feed rule matches exactly
+    // one plane, so this ordering reproduces it bit-identically. Rule
+    // indices per payload are ascending (pattern ids map to rule
+    // indices order-preservingly).
+    let (mut scratch, mut ids) = (Vec::new(), Vec::new());
     let mut hits: Vec<(u32, u32)> = Vec::new();
     if let Some(hs) = &analysis.handshake {
-        let stored = scanned.url.as_ref();
-        push_hits(&mut hits, 0, stored, generation, &mut ids, |ids| {
-            compiled.url_hit_indices(&hs.target, &mut scratch, ids)
-        });
+        compiled.url_hit_indices(&hs.target, &mut scratch, &mut ids);
+        hits.extend(ids.drain(..).map(|r| (r, 0)));
     }
     for (mi, msg) in analysis.kernel_msgs.iter().enumerate() {
-        let Some(code) = &msg.code else {
-            continue;
-        };
-        let stored = scanned.per_msg.get(mi).and_then(Option::as_ref);
-        push_hits(&mut hits, mi as u32, stored, generation, &mut ids, |ids| {
-            compiled.code_hit_indices(code, &mut scratch, ids)
-        });
-    }
-    if hits.is_empty() {
-        return alerts;
+        if let Some(code) = &msg.code {
+            compiled.code_hit_indices(code, &mut scratch, &mut ids);
+            hits.extend(ids.drain(..).map(|r| (r, mi as u32)));
+        }
     }
     hits.sort_unstable();
     for (r, _) in hits {
@@ -318,28 +292,6 @@ pub(crate) fn feed_rule_hits_scanned(
         });
     }
     alerts
-}
-
-/// Append one payload's `(rule index, payload index)` hit pairs: the
-/// stored rule indices when they were scanned under `generation`, else
-/// those a fresh `scan` appends to `ids`.
-fn push_hits(
-    hits: &mut Vec<(u32, u32)>,
-    payload: u32,
-    stored: Option<&(u64, Vec<u32>)>,
-    generation: u64,
-    ids: &mut Vec<u32>,
-    scan: impl FnOnce(&mut Vec<u32>),
-) {
-    let ids = match stored {
-        Some((gen, cached)) if *gen == generation => cached,
-        _ => {
-            ids.clear();
-            scan(ids);
-            ids
-        }
-    };
-    hits.extend(ids.iter().map(|&r| (r, payload)));
 }
 
 /// Cross-flow detectors: DNS-tunnel fan-out, scanner fan-out, rare

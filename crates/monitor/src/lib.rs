@@ -40,5 +40,5 @@ pub mod streaming;
 pub use alerts::{Alert, AlertSource};
 pub use engine::{shard_of, Monitor, MonitorConfig, MonitorStats};
 pub use features::FlowFeatures;
-pub use matcher::{CompiledRuleSet, FeedCache, MatchMode, MatcherState, PatternMatcher};
+pub use matcher::{CompiledRuleSet, FeedCache, MatchMode, PatternMatcher};
 pub use streaming::{MonitorShardSnapshot, StreamingConfig, StreamingMonitor};

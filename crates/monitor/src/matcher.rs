@@ -23,6 +23,11 @@
 //!   changed** — the per-flow cost of an idle feed is one atomic load,
 //!   no lock, no scan.
 //!
+//! Matching is one-shot over a whole haystack. The streaming scanner
+//! does not match: it keeps each flow's parsed code strings and
+//! upgrade target, and the flow's eviction matches them once
+//! ([`crate::detectors::feed_rule_hits`]).
+//!
 //! # Why matches are time-gated *after* automaton hits
 //!
 //! Feed rules carry an `available_at` instant and must never match
@@ -193,57 +198,6 @@ impl PatternMatcher {
         out
     }
 
-    /// Start a resumable scan. Feeding chunks `c1, c2, …` through
-    /// [`PatternMatcher::feed`] and then calling
-    /// [`PatternMatcher::finish_into`] is equivalent to a single
-    /// [`PatternMatcher::find_into`] over the concatenation — for *any*
-    /// split, including empty chunks. This is what lets the streaming
-    /// scanner match in-order bytes as they arrive and drop them,
-    /// persisting only the automaton state between segments.
-    pub fn begin(&self) -> MatcherState {
-        MatcherState::default()
-    }
-
-    /// Advance a resumable scan over the next in-order chunk.
-    ///
-    /// The state must only ever be fed to the automaton that created
-    /// it (state ids are automaton-specific); rebuild states after a
-    /// rule-feed recompile.
-    pub fn feed(&self, st: &mut MatcherState, chunk: &[u8]) {
-        if self.nodes.len() <= 1 {
-            return;
-        }
-        let mut s = st.state;
-        for &b in chunk {
-            s = self.step(s, b);
-            let hits = &self.nodes[s as usize].out;
-            if !hits.is_empty() {
-                st.hits.extend_from_slice(hits);
-            }
-        }
-        st.state = s;
-    }
-
-    /// Finalize a resumable scan into `out`: every matching pattern id,
-    /// ascending and deduplicated — bit-identical to
-    /// [`PatternMatcher::find_into`] over the concatenated chunks. The
-    /// state is left reset, ready for the next haystack.
-    pub fn finish_into(&self, st: &mut MatcherState, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.empty_ids);
-        out.append(&mut st.hits);
-        out.sort_unstable();
-        out.dedup();
-        st.state = 0;
-    }
-
-    /// [`PatternMatcher::finish_into`], allocating.
-    pub fn finish(&self, st: &mut MatcherState) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.finish_into(st, &mut out);
-        out
-    }
-
     /// One automaton transition on byte `b` from state `s`.
     #[inline]
     fn step(&self, mut s: u32, b: u8) -> u32 {
@@ -257,26 +211,6 @@ impl PatternMatcher {
             }
             s = node.fail;
         }
-    }
-}
-
-/// A resumable scan cursor: the automaton state reached so far plus
-/// the pattern ids hit so far (raw — deduplicated and sorted at
-/// [`PatternMatcher::finish_into`]). One lives per flow per plane in
-/// the incremental scanner; it is intentionally small so thousands of
-/// live flows cost bytes, not buffers.
-#[derive(Clone, Debug, Default)]
-pub struct MatcherState {
-    state: u32,
-    hits: Vec<u32>,
-}
-
-impl MatcherState {
-    /// Reset to the start-of-haystack state (e.g. at a message
-    /// boundary, where matching must not span two haystacks).
-    pub fn reset(&mut self) {
-        self.state = 0;
-        self.hits.clear();
     }
 }
 

@@ -6,9 +6,12 @@
 //! only then parses and scans the complete buffers front to back, so
 //! peak memory tracks flow *length*. [`FlowScanner`] runs the same
 //! analyzer chain — HTTP upgrade → WebSocket framing → Jupyter wire →
-//! signature matching → rate features — over the in-order chunks the
-//! reassembler delivers, as it delivers them. A scanned flow then
-//! retains only:
+//! rate features — over the in-order chunks the reassembler delivers,
+//! as it delivers them. The scanner only reads bytes: it keeps the
+//! parsed code strings and the upgrade target, and the flow's eviction
+//! matches signatures against them once
+//! ([`crate::detectors::feed_rule_hits`]). A scanned flow then retains
+//! only:
 //!
 //! - the reorder window (out-of-order pendings, zero-copy slices),
 //! - unconsumed decoder buffers (partial frame/message, pre-handshake
@@ -84,17 +87,11 @@
 //!   freezes the side at exactly one opaque count.
 //! - Kernel messages are emitted upstream-side first, then
 //!   downstream — arrival interleaving never changes the output order.
-//! - Signature hits are matched at message arrival under the intel
-//!   generation current *then*, and re-validated at eviction: if the
-//!   feed epoch moved since, the retained code string is rescanned
-//!   under the eviction-time snapshot — exactly the snapshot the
-//!   full-buffer path would have used.
 
 use crate::analyzers::{
     classify_visibility, find_double_crlf, observe_ws_message, FlowAnalysis, ParsedKernelMsg,
     Visibility, MAX_HEADER_BYTES,
 };
-use crate::matcher::{CompiledRuleSet, FeedCache, MatchMode};
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_kernelsim::server::transport_seed;
@@ -107,20 +104,6 @@ use ja_websocket::handshake::UpgradeRequest;
 /// The bytes every upgrade request [`UpgradeRequest::parse`] accepts
 /// starts with.
 const UPGRADE_PREFIX: &[u8] = b"GET ";
-
-/// Signature hits collected incrementally, with the feed generation
-/// they were scanned under. Consumed by
-/// [`crate::detectors::feed_rule_hits_scanned`], which re-validates the
-/// generation at eviction time.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ScanHits {
-    /// URL-plane rule indices for the handshake target, with the
-    /// generation they are valid for.
-    pub(crate) url: Option<(u64, Vec<u32>)>,
-    /// Code-plane rule indices per kernel message (parallel to
-    /// `FlowAnalysis::kernel_msgs`; `None` for messages without code).
-    pub(crate) per_msg: Vec<Option<(u64, Vec<u32>)>>,
-}
 
 /// One direction's protocol position.
 #[derive(Debug)]
@@ -161,10 +144,6 @@ impl Default for SidePhase {
 struct SideScan {
     phase: SidePhase,
     msgs: Vec<ParsedKernelMsg>,
-    /// Parallel to `msgs`: incremental code-plane hits (generation,
-    /// ascending rule indices), `None` when the message has no code or
-    /// matching is naive-mode.
-    hits: Vec<Option<(u64, Vec<u32>)>>,
     opaque: usize,
 }
 
@@ -234,24 +213,14 @@ impl FlowScanner {
 
     /// Feed one delivered upstream chunk. `scratch` is the decrypt
     /// buffer, reused across chunks and flows.
-    pub(crate) fn feed_up(
-        &mut self,
-        chunk: &PayloadBytes,
-        intel: &mut FeedCache,
-        scratch: &mut Vec<u8>,
-    ) {
+    pub(crate) fn feed_up(&mut self, chunk: &PayloadBytes, scratch: &mut Vec<u8>) {
         self.stats.update(chunk);
-        self.read(Direction::ToResponder, chunk, intel, scratch);
+        self.read(Direction::ToResponder, chunk, scratch);
     }
 
     /// Feed one delivered downstream chunk.
-    pub(crate) fn feed_down(
-        &mut self,
-        chunk: &PayloadBytes,
-        intel: &mut FeedCache,
-        scratch: &mut Vec<u8>,
-    ) {
-        self.read(Direction::ToInitiator, chunk, intel, scratch);
+    pub(crate) fn feed_down(&mut self, chunk: &PayloadBytes, scratch: &mut Vec<u8>) {
+        self.read(Direction::ToInitiator, chunk, scratch);
     }
 
     /// Bytes the scanner itself is buffering (both sides' header and
@@ -266,29 +235,23 @@ impl FlowScanner {
         self.proto.buffered() + held
     }
 
-    /// Finalize into the same shape the full-buffer analyzer produces, plus
-    /// the incrementally-collected signature hits. A plaintext attempt
-    /// still undecided falls back to decryption here, as the full-buffer
-    /// path does when the plaintext header never terminated.
-    pub(crate) fn finalize(mut self, intel: &mut FeedCache) -> (FlowAnalysis, ScanHits) {
+    /// Finalize into the same shape the full-buffer analyzer produces. A
+    /// plaintext attempt still undecided falls back to decryption here,
+    /// as the full-buffer path does when the plaintext header never
+    /// terminated.
+    pub(crate) fn finalize(mut self) -> FlowAnalysis {
         if let Some(held) = self.take_held() {
-            self.decrypt(*held, intel, &mut Vec::new());
+            self.decrypt(*held, &mut Vec::new());
         }
         self.proto.finalize(self.stats.shannon_bits())
     }
 
-    fn read(
-        &mut self,
-        dir: Direction,
-        chunk: &PayloadBytes,
-        intel: &mut FeedCache,
-        scratch: &mut Vec<u8>,
-    ) {
+    fn read(&mut self, dir: Direction, chunk: &PayloadBytes, scratch: &mut Vec<u8>) {
         match &mut self.inspect {
-            Inspect::Plain => self.proto.feed(dir, chunk, intel),
+            Inspect::Plain => self.proto.feed(dir, chunk),
             Inspect::Decrypt(keys) => {
                 keys.decrypt(dir, chunk, scratch);
-                self.proto.feed(dir, scratch, intel);
+                self.proto.feed(dir, scratch);
                 if self.proto.rejected {
                     self.inspect = Inspect::Opaque;
                 }
@@ -296,14 +259,14 @@ impl FlowScanner {
             Inspect::Opaque => {}
             Inspect::Undecided(held) if dir == Direction::ToInitiator => {
                 for chunk in held.hold_down(chunk) {
-                    self.proto.feed_down(&chunk, intel);
-                    held.read_down(&chunk, intel, scratch);
+                    self.proto.feed_down(&chunk);
+                    held.read_down(&chunk, scratch);
                 }
             }
             Inspect::Undecided(held) => {
                 if let Some(terminated) = held.hold_up(chunk) {
                     if let Some(held) = self.take_held() {
-                        self.settle(*held, terminated, intel, scratch);
+                        self.settle(*held, terminated, scratch);
                     }
                 }
             }
@@ -324,31 +287,25 @@ impl FlowScanner {
     /// Decide the plaintext attempt: replay the held chunks as
     /// plaintext when the upstream header is complete and parses, and
     /// decrypted otherwise.
-    fn settle(
-        &mut self,
-        held: Held,
-        terminated: bool,
-        intel: &mut FeedCache,
-        scratch: &mut Vec<u8>,
-    ) {
+    fn settle(&mut self, held: Held, terminated: bool, scratch: &mut Vec<u8>) {
         if terminated {
             for chunk in &held.up {
-                self.proto.feed_up(chunk, intel);
+                self.proto.feed_up(chunk);
             }
             if !self.proto.rejected {
                 for chunk in &held.down {
-                    self.proto.feed_down(chunk, intel);
+                    self.proto.feed_down(chunk);
                 }
                 return;
             }
         }
-        self.decrypt(held, intel, scratch);
+        self.decrypt(held, scratch);
     }
 
     /// Switch to decryption: one keystream cursor per direction, the
     /// held chunks replayed through them in stream order. A downstream
     /// already read decrypted keeps its chain and cursor.
-    fn decrypt(&mut self, held: Held, intel: &mut FeedCache, scratch: &mut Vec<u8>) {
+    fn decrypt(&mut self, held: Held, scratch: &mut Vec<u8>) {
         let up = held.cursor(Direction::ToResponder);
         let (down, proto) = match held.decrypted_down {
             Some(down) => *down,
@@ -357,10 +314,10 @@ impl FlowScanner {
         self.proto = proto;
         self.inspect = Inspect::Decrypt(Box::new(Keystream { up, down }));
         for chunk in &held.up {
-            self.read(Direction::ToResponder, chunk, intel, scratch);
+            self.read(Direction::ToResponder, chunk, scratch);
         }
         for chunk in &held.down {
-            self.read(Direction::ToInitiator, chunk, intel, scratch);
+            self.read(Direction::ToInitiator, chunk, scratch);
         }
     }
 }
@@ -430,7 +387,7 @@ impl Held {
 
     /// Read one downstream chunk decrypted, into `scratch`, unless that
     /// reading's downstream reads nothing more.
-    fn read_down(&mut self, chunk: &[u8], intel: &mut FeedCache, scratch: &mut Vec<u8>) {
+    fn read_down(&mut self, chunk: &[u8], scratch: &mut Vec<u8>) {
         let Some(down) = self.decrypted_down.as_deref_mut() else {
             return;
         };
@@ -439,7 +396,7 @@ impl Held {
             return;
         }
         decrypt_into(key, chunk, scratch);
-        proto.feed_down(scratch, intel);
+        proto.feed_down(scratch);
     }
 
     /// Bytes held: the chunks and the decrypted downstream's buffers.
@@ -502,27 +459,25 @@ fn advance_crlfcrlf(matched: &mut u8, chunk: &[u8]) -> bool {
 }
 
 /// The protocol chain over one flow's plaintext bytes: HTTP upgrade →
-/// WebSocket framing → Jupyter wire → signature hits.
+/// WebSocket framing → Jupyter wire.
 #[derive(Debug, Default)]
 struct ProtoScan {
     up: SideScan,
     down: SideScan,
     handshake: Option<UpgradeRequest>,
-    /// URL-plane hits for the handshake target (generation, indices).
-    url_hits: Option<(u64, Vec<u32>)>,
     /// The upstream header was rejected — the flow is non-WebSocket.
     rejected: bool,
 }
 
 impl ProtoScan {
-    fn feed(&mut self, dir: Direction, bytes: &[u8], intel: &mut FeedCache) {
+    fn feed(&mut self, dir: Direction, bytes: &[u8]) {
         match dir {
-            Direction::ToResponder => self.feed_up(bytes, intel),
-            Direction::ToInitiator => self.feed_down(bytes, intel),
+            Direction::ToResponder => self.feed_up(bytes),
+            Direction::ToInitiator => self.feed_down(bytes),
         }
     }
 
-    fn feed_up(&mut self, bytes: &[u8], intel: &mut FeedCache) {
+    fn feed_up(&mut self, bytes: &[u8]) {
         if self.rejected {
             return;
         }
@@ -551,7 +506,6 @@ impl ProtoScan {
                 self.reject();
                 return;
             };
-            self.url_hits = scan_plane(&hs.target, intel, CompiledRuleSet::url_hit_indices);
             self.handshake = Some(hs);
             let rest = buf[header_end..].to_vec();
             self.up.phase = SidePhase::Ws {
@@ -559,13 +513,13 @@ impl ProtoScan {
                 asm: MessageAssembler::new(),
                 failed: false,
             };
-            feed_ws(&mut self.up, &rest, intel);
+            feed_ws(&mut self.up, &rest);
             return;
         }
-        feed_ws(&mut self.up, bytes, intel);
+        feed_ws(&mut self.up, bytes);
     }
 
-    fn feed_down(&mut self, bytes: &[u8], intel: &mut FeedCache) {
+    fn feed_down(&mut self, bytes: &[u8]) {
         if self.rejected {
             return;
         }
@@ -586,10 +540,10 @@ impl ProtoScan {
                 asm: MessageAssembler::new(),
                 failed: false,
             };
-            feed_ws(&mut self.down, &rest, intel);
+            feed_ws(&mut self.down, &rest);
             return;
         }
-        feed_ws(&mut self.down, bytes, intel);
+        feed_ws(&mut self.down, bytes);
     }
 
     /// The upstream is not an upgrade request: the flow is
@@ -609,41 +563,30 @@ impl ProtoScan {
         self.up.buffered() + self.down.buffered()
     }
 
-    fn finalize(self, up_entropy_bits: f64) -> (FlowAnalysis, ScanHits) {
+    fn finalize(self, up_entropy_bits: f64) -> FlowAnalysis {
         // No upstream handshake ⇒ the full-buffer `try_parse` returns None ⇒
         // everything is opaque (messages a side may have produced are
         // irrelevant because without an up-header none are produced).
         if self.rejected || self.handshake.is_none() {
-            return (
-                FlowAnalysis {
-                    handshake: None,
-                    kernel_msgs: Vec::new(),
-                    opaque_ws_messages: 0,
-                    visibility: Visibility::Opaque,
-                    up_entropy_bits,
-                },
-                ScanHits::default(),
-            );
+            return FlowAnalysis {
+                handshake: None,
+                kernel_msgs: Vec::new(),
+                opaque_ws_messages: 0,
+                visibility: Visibility::Opaque,
+                up_entropy_bits,
+            };
         }
         let mut kernel_msgs = self.up.msgs;
         kernel_msgs.extend(self.down.msgs);
-        let mut per_msg = self.up.hits;
-        per_msg.extend(self.down.hits);
         let opaque_ws_messages = self.up.opaque + self.down.opaque;
         let visibility = classify_visibility(&kernel_msgs, true, opaque_ws_messages);
-        (
-            FlowAnalysis {
-                handshake: self.handshake,
-                kernel_msgs,
-                opaque_ws_messages,
-                visibility,
-                up_entropy_bits,
-            },
-            ScanHits {
-                url: self.url_hits,
-                per_msg,
-            },
-        )
+        FlowAnalysis {
+            handshake: self.handshake,
+            kernel_msgs,
+            opaque_ws_messages,
+            visibility,
+            up_entropy_bits,
+        }
     }
 }
 
@@ -666,7 +609,7 @@ fn scan_crlfcrlf(buf: &[u8], searched: &mut usize) -> Option<usize> {
 
 /// Feed raw post-handshake bytes of one side through its WebSocket
 /// decoder, interpreting completed messages immediately.
-fn feed_ws(side: &mut SideScan, bytes: &[u8], intel: &mut FeedCache) {
+fn feed_ws(side: &mut SideScan, bytes: &[u8]) {
     let SidePhase::Ws { dec, asm, failed } = &mut side.phase else {
         return;
     };
@@ -682,44 +625,15 @@ fn feed_ws(side: &mut SideScan, bytes: &[u8], intel: &mut FeedCache) {
             // everything this side accumulated.
             *failed = true;
             side.msgs.clear();
-            side.hits.clear();
             side.opaque = 1;
             return;
         }
     };
     for frame in frames {
-        let Ok(Some(msg)) = asm.push(frame) else {
-            continue;
-        };
-        let before = side.msgs.len();
-        observe_ws_message(&msg, &mut side.msgs, &mut side.opaque);
-        if side.msgs.len() > before {
-            let hits = side.msgs[before]
-                .code
-                .as_deref()
-                .and_then(|code| scan_plane(code, intel, CompiledRuleSet::code_hit_indices));
-            side.hits.push(hits);
+        if let Ok(Some(msg)) = asm.push(frame) {
+            observe_ws_message(&msg, &mut side.msgs, &mut side.opaque);
         }
     }
-}
-
-/// Scan `text` against one plane of the intel feed under the current
-/// generation. `plane` is that plane's lookup — its automaton and
-/// pattern-id → rule-index map — such as
-/// [`CompiledRuleSet::code_hit_indices`]. `None` in naive mode (the
-/// naive path rescans at eviction from the feed lock).
-fn scan_plane(
-    text: &str,
-    intel: &mut FeedCache,
-    plane: fn(&CompiledRuleSet, &str, &mut Vec<u32>, &mut Vec<u32>),
-) -> Option<(u64, Vec<u32>)> {
-    if intel.mode() == MatchMode::Naive {
-        return None;
-    }
-    intel.refresh();
-    let (mut scratch, mut ids) = (Vec::new(), Vec::new());
-    plane(intel.parts().0, text, &mut scratch, &mut ids);
-    Some((intel.generation(), ids))
 }
 
 #[cfg(test)]
@@ -727,7 +641,6 @@ mod tests {
     use super::*;
     use crate::analyzers::analyze_flow;
     use crate::reassembly::{FlowBuf, Reassembler};
-    use crate::rules::RuleFeed;
     use ja_kernelsim::actions::CellScript;
     use ja_kernelsim::config::{ServerConfig, TransportMode};
     use ja_kernelsim::server::NotebookServer;
@@ -769,28 +682,24 @@ mod tests {
         buf
     }
 
-    fn no_intel() -> FeedCache {
-        FeedCache::new(RuleFeed::new(), MatchMode::Compiled)
-    }
-
     /// Feed `buf`'s upstream cut at `cuts`, then its downstream whole.
     fn feed(buf: &FlowBuf, secret: Option<&[u8]>, cuts: &[usize]) -> FlowScanner {
         let mut scanner = FlowScanner::new(FLOW, secret);
-        let (mut intel, mut scratch) = (no_intel(), Vec::new());
+        let mut scratch = Vec::new();
         let up = PayloadBytes::from(buf.up.data.clone());
         let mut at = 0;
         for end in cuts.iter().copied().chain([up.len()]) {
-            scanner.feed_up(&up.slice(at..end), &mut intel, &mut scratch);
+            scanner.feed_up(&up.slice(at..end), &mut scratch);
             at = end;
         }
         let down = PayloadBytes::from(buf.down.data.clone());
-        scanner.feed_down(&down, &mut intel, &mut scratch);
+        scanner.feed_down(&down, &mut scratch);
         scanner
     }
 
     /// The scanner's analysis equals the eager analyzer's.
     fn assert_matches_eager(scanner: FlowScanner, buf: &FlowBuf, secret: Option<&[u8]>) {
-        let (got, _) = scanner.finalize(&mut no_intel());
+        let got = scanner.finalize();
         let want = analyze_flow(FLOW, buf, secret);
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
@@ -804,7 +713,7 @@ mod tests {
             assert!(matches!(scanner.inspect, Inspect::Plain), "cut {cut}");
             assert_matches_eager(scanner, &buf, Some(&secret));
         }
-        let (got, _) = feed(&buf, Some(&secret), &[end - 2]).finalize(&mut no_intel());
+        let got = feed(&buf, Some(&secret), &[end - 2]).finalize();
         assert_eq!(got.visibility, Visibility::FullContent);
     }
 
@@ -812,9 +721,8 @@ mod tests {
     fn fewer_than_four_bytes_then_the_rest() {
         let (plain, secret) = session(TransportMode::PlainWs);
         let mut scanner = FlowScanner::new(FLOW, Some(&secret));
-        let (mut intel, mut scratch) = (no_intel(), Vec::new());
         let up = PayloadBytes::from(plain.up.data.clone());
-        scanner.feed_up(&up.slice(0..2), &mut intel, &mut scratch);
+        scanner.feed_up(&up.slice(0..2), &mut Vec::new());
         assert!(matches!(scanner.inspect, Inspect::Undecided(_)));
         assert_eq!(scanner.buffered(), 2);
         assert_matches_eager(feed(&plain, Some(&secret), &[2, 3]), &plain, Some(&secret));
@@ -825,7 +733,7 @@ mod tests {
             assert!(matches!(scanner.inspect, Inspect::Decrypt(_)));
             assert_matches_eager(scanner, &tls, Some(&secret));
         }
-        let (got, _) = feed(&tls, Some(&secret), &[2]).finalize(&mut no_intel());
+        let got = feed(&tls, Some(&secret), &[2]).finalize();
         assert_eq!(got.visibility, Visibility::FullContent);
     }
 
@@ -858,11 +766,11 @@ mod tests {
             let (buf, secret) = session_running(mode, &code);
             assert!(buf.down.data.len() > 2 * MAX_HEADER_BYTES);
             let mut scanner = FlowScanner::new(FLOW, Some(&secret));
-            let (mut intel, mut scratch) = (no_intel(), Vec::new());
+            let mut scratch = Vec::new();
             let down = PayloadBytes::from(buf.down.data.clone());
             for at in (0..down.len()).step_by(997) {
                 let chunk = down.slice(at..down.len().min(at + 997));
-                scanner.feed_down(&chunk, &mut intel, &mut scratch);
+                scanner.feed_down(&chunk, &mut scratch);
                 assert!(scanner.buffered() < 2 * MAX_HEADER_BYTES as u64);
             }
             let Inspect::Undecided(held) = &scanner.inspect else {
@@ -870,9 +778,9 @@ mod tests {
             };
             assert!(held.down.is_empty() && held.decrypted_down.is_some());
             let up = PayloadBytes::from(buf.up.data.clone());
-            scanner.feed_up(&up, &mut intel, &mut scratch);
+            scanner.feed_up(&up, &mut scratch);
             assert!(!matches!(scanner.inspect, Inspect::Undecided(_)));
-            let (got, _) = scanner.finalize(&mut no_intel());
+            let got = scanner.finalize();
             let want = analyze_flow(FLOW, &buf, Some(&secret));
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert_eq!(got.visibility, Visibility::FullContent, "{mode:?}");
@@ -908,7 +816,7 @@ mod tests {
             let buf = flow_buf(up, b"");
             for secret in [None, Some(secret)] {
                 let scanner = feed(&buf, secret, &[7]);
-                let (got, _) = feed(&buf, secret, &[7]).finalize(&mut no_intel());
+                let got = feed(&buf, secret, &[7]).finalize();
                 assert_eq!(got.handshake.is_some(), parses, "{len} bytes");
                 assert_matches_eager(scanner, &buf, secret);
             }

@@ -4,8 +4,9 @@
 //! [`StreamingMonitor`] consumes [`SegmentRecord`]s one at a time.
 //! Every flow is followed by the single-pass scanner: in-order bytes
 //! are analyzed as the reassembler delivers them and then dropped, and
-//! rate features are folded as segments arrive. A flow is evicted — its analysis finalized, the
-//! per-flow detectors run, only its compact [`FlowFeatures`] summary
+//! rate features are folded as segments arrive. A flow is evicted —
+//! its analysis finalized, the per-flow detectors and the intel
+//! signatures run over it, only its compact [`FlowFeatures`] summary
 //! kept — as soon as it closes (FIN/RST plus a short reorder linger) or
 //! goes idle. Per-flow memory is therefore bounded by the reorder
 //! window, and the live table by concurrently-*live* flows, not by
@@ -224,7 +225,9 @@ pub struct MonitorShardSnapshot {
     /// Flow feature summaries retained for the cross-flow pass.
     pub features: u64,
     /// Feed epoch of the compiled intel snapshot (`0` = nothing
-    /// published when last consulted).
+    /// published when last consulted). The shard refreshes its cache
+    /// only when it evicts a flow, so this is the epoch seen at the
+    /// last eviction, not at the last record.
     pub feed_generation: u64,
 }
 
@@ -236,8 +239,9 @@ pub struct StreamingMonitor<'m> {
     /// This shard's compiled static rules: built once per engine, so a
     /// flow's signature pass is one automaton walk per payload.
     rules: crate::matcher::CompiledRuleSet,
-    /// This shard's generation-cached intel snapshot: recompiled only
-    /// when a publisher bumped the feed epoch.
+    /// This shard's generation-cached intel snapshot: consulted at
+    /// eviction, recompiled only when a publisher bumped the feed
+    /// epoch.
     intel: crate::matcher::FeedCache,
     live: HashMap<u64, LiveFlow>,
     summary: StreamSummary,
@@ -318,12 +322,10 @@ impl<'m> StreamingMonitor<'m> {
             scan.acc.on_down(rec.time, rec.wire_len);
         }
         for chunk in self.scratch_up.drain(..) {
-            scan.scanner
-                .feed_up(&chunk, &mut self.intel, &mut self.decrypt_buf);
+            scan.scanner.feed_up(&chunk, &mut self.decrypt_buf);
         }
         for chunk in self.scratch_down.drain(..) {
-            scan.scanner
-                .feed_down(&chunk, &mut self.intel, &mut self.decrypt_buf);
+            scan.scanner.feed_down(&chunk, &mut self.decrypt_buf);
         }
         let after = scan.retained_with(&lf.buf);
         self.retained_now = self.retained_now - before + after;
@@ -419,19 +421,14 @@ impl<'m> StreamingMonitor<'m> {
         let Some(ff) = acc.finish(id, &buf) else {
             return;
         };
-        let (analysis, hits) = scanner.finalize(&mut self.intel);
+        let analysis = scanner.finalize();
         let config = &self.monitor.config;
         let mut alerts = detectors::per_flow(&ff, &analysis, &self.rules, &config.thresholds);
         // Hot-reloaded intel: only rules that had propagated before this
         // flow began may match it (no retroactive alerts). The guard is
         // a lock-free epoch check, so an idle feed costs nothing.
         if !config.intel.is_empty() {
-            alerts.extend(detectors::feed_rule_hits_scanned(
-                &ff,
-                &analysis,
-                &mut self.intel,
-                &hits,
-            ));
+            alerts.extend(detectors::feed_rule_hits(&ff, &analysis, &mut self.intel));
         }
         self.summary.add_flow(self.monitor, ff, &analysis, alerts);
     }
@@ -885,6 +882,41 @@ mod tests {
         assert_eq!(intel.len(), 1, "{intel:?}");
         assert_eq!(intel[0].time, SimTime::from_secs(5_000));
         assert!(intel[0].detail.contains("hp-7-1"));
+    }
+
+    #[test]
+    fn feed_rule_published_while_a_flow_is_live_matches_it_at_eviction() {
+        use crate::alerts::AlertSource;
+        // The rule is published after the first session's cell has
+        // been read but before that flow is evicted, and is available
+        // from before the flow began: eviction must match it under the
+        // new snapshot, exactly as the reference does afterwards.
+        let trace = hostile_sessions_trace(&[SimTime::from_secs(100), SimTime::from_secs(5_000)]);
+        let records = trace.records();
+        let first = records[0].flow_id;
+        let last_of_first = records.iter().rposition(|r| r.flow_id == first).unwrap();
+        let m = Monitor::default();
+        let mut sm = StreamingMonitor::new(&m, StreamingConfig::close_evict());
+        for (i, r) in records.iter().enumerate() {
+            if i == last_of_first {
+                assert_eq!(sm.live_flows(), 1, "the first flow is still live");
+                m.config.intel.publish(SimTime::from_secs(50), hot_rule());
+            }
+            sm.push(r);
+        }
+        let (alerts, _) = sm.finish();
+        let intel: Vec<SimTime> = alerts
+            .iter()
+            .filter(|a| a.source == AlertSource::HoneypotIntel)
+            .map(|a| a.time)
+            .collect();
+        assert_eq!(
+            intel,
+            [SimTime::from_secs(100), SimTime::from_secs(5_000)],
+            "{alerts:?}"
+        );
+        let (reference, _) = m.analyze(&trace);
+        assert_eq!(alert_keys(&reference), alert_keys(&alerts));
     }
 
     #[test]

@@ -541,39 +541,6 @@ fn streaming_alert_set_matches_batch_on_reordered_capture() {
     );
 }
 
-proptest! {
-    /// Resumable chunked matching ([`PatternMatcher::begin`]/`feed`/
-    /// `finish`) reports exactly the hits a one-shot `find` reports,
-    /// for any split of the haystack — including empty chunks and
-    /// splits inside multi-byte patterns — and the state is reusable
-    /// for the next haystack after `finish`.
-    #[test]
-    fn resumable_matcher_equals_one_shot(
-        patterns in proptest::collection::vec(arb_pattern(), 0..12),
-        hay in arb_haystack(),
-        cuts in proptest::collection::vec(0.0f64..1.0, 0..6)) {
-        let ac = PatternMatcher::build(&patterns);
-        let bytes = hay.as_bytes();
-        let mut splits: Vec<usize> = cuts
-            .iter()
-            .map(|c| (c * bytes.len() as f64) as usize)
-            .collect();
-        splits.push(0);
-        splits.push(bytes.len());
-        splits.sort_unstable();
-        let want = ac.find(bytes);
-        let mut st = ac.begin();
-        for w in splits.windows(2) {
-            ac.feed(&mut st, &bytes[w[0]..w[1]]);
-        }
-        prop_assert_eq!(ac.finish(&mut st), want.clone());
-        // `finish` reset the cursor: the same state scans the next
-        // haystack from scratch.
-        ac.feed(&mut st, bytes);
-        prop_assert_eq!(ac.finish(&mut st), want);
-    }
-}
-
 /// One plaintext-WS notebook session per entry in `starts` (each runs a
 /// cell with a distinctive hostile token and a token-bearing upgrade
 /// URL), optionally one fully-encrypted (TLS) session, and one raw

@@ -27,10 +27,6 @@ pub struct FlowState {
     pub segs_to_responder: u64,
     /// Segments sent responder→initiator.
     pub segs_to_initiator: u64,
-    /// Undelivered bytes awaiting the responder.
-    pub inbox_responder: Vec<u8>,
-    /// Undelivered bytes awaiting the initiator.
-    pub inbox_initiator: Vec<u8>,
 }
 
 impl FlowState {
@@ -44,8 +40,6 @@ impl FlowState {
             bytes_to_initiator: 0,
             segs_to_responder: 0,
             segs_to_initiator: 0,
-            inbox_responder: Vec::new(),
-            inbox_initiator: Vec::new(),
         }
     }
 

@@ -27,10 +27,6 @@ pub struct Network {
     scope: u32,
     next_flow_in_scope: HashMap<u32, u64>,
     next_ephemeral: HashMap<u32, u16>,
-    /// When false, `send` does not accumulate delivery inboxes (the
-    /// ground-truth `recv` buffers). Streaming producers disable
-    /// delivery so per-flow memory stays O(1) instead of O(bytes sent).
-    retain_delivery: bool,
 }
 
 impl Default for Network {
@@ -50,22 +46,12 @@ impl Network {
             scope: 0,
             next_flow_in_scope: HashMap::new(),
             next_ephemeral: HashMap::new(),
-            retain_delivery: true,
         }
     }
 
     /// Override the MSS (tests use small values to force segmentation).
     pub fn with_mss(mut self, mss: usize) -> Self {
         self.mss = mss.max(1);
-        self
-    }
-
-    /// Capture-only mode: segments are still recorded at the tap, but
-    /// delivery inboxes are not retained, so [`Network::recv`] returns
-    /// nothing. Scenario streaming uses this to keep per-flow memory
-    /// independent of how many bytes the flow carried.
-    pub fn without_delivery(mut self) -> Self {
-        self.retain_delivery = false;
         self
     }
 
@@ -120,8 +106,9 @@ impl Network {
     }
 
     /// Send application bytes on a flow. Splits into MSS-sized segments,
-    /// spreads them over `per_segment_gap`, captures each, and delivers
-    /// to the peer inbox. Returns the time the last segment left.
+    /// spreads them over `per_segment_gap` and captures each. Only the
+    /// tap keeps the bytes, so per-flow memory does not grow with what
+    /// the flow carried. Returns the time the last segment left.
     ///
     /// The write is materialized into **one** shared
     /// [`PayloadBytes`] allocation; every segment record holds a
@@ -167,20 +154,10 @@ impl Network {
                 Direction::ToResponder => {
                     state.bytes_to_responder += chunk_len as u64;
                     state.segs_to_responder += 1;
-                    if self.retain_delivery {
-                        state
-                            .inbox_responder
-                            .extend_from_slice(&payload[start..end]);
-                    }
                 }
                 Direction::ToInitiator => {
                     state.bytes_to_initiator += chunk_len as u64;
                     state.segs_to_initiator += 1;
-                    if self.retain_delivery {
-                        state
-                            .inbox_initiator
-                            .extend_from_slice(&payload[start..end]);
-                    }
                 }
             }
             t += gap;
@@ -240,17 +217,6 @@ impl Network {
             t += gap;
         }
         t
-    }
-
-    /// Drain bytes delivered to one side of a flow (ground-truth
-    /// in-order delivery).
-    pub fn recv(&mut self, flow: FlowId, side: Direction) -> Vec<u8> {
-        let state = self.flows.get_mut(&flow.0).expect("unknown flow");
-        match side {
-            // Bytes heading to the responder are read at the responder.
-            Direction::ToResponder => std::mem::take(&mut state.inbox_responder),
-            Direction::ToInitiator => std::mem::take(&mut state.inbox_initiator),
-        }
     }
 
     /// Close a flow; records a FIN (or RST for abortive close).
@@ -439,17 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_ground_truth() {
-        let (a, b) = hosts();
-        let mut net = Network::new().with_mss(3);
-        let f = net.open(SimTime::ZERO, a, 1, b, 2);
-        net.send(SimTime::ZERO, f, Direction::ToResponder, b"hello world");
-        assert_eq!(net.recv(f, Direction::ToResponder), b"hello world".to_vec());
-        // Second read is empty.
-        assert!(net.recv(f, Direction::ToResponder).is_empty());
-    }
-
-    #[test]
     fn abortive_close_sets_rst() {
         let (a, b) = hosts();
         let mut net = Network::new();
@@ -487,11 +442,10 @@ mod tests {
     #[test]
     fn without_delivery_still_captures_but_does_not_buffer() {
         let (a, b) = hosts();
-        let mut net = Network::new().without_delivery();
+        let mut net = Network::new();
         let f = net.open(SimTime::ZERO, a, 1, b, 2);
         net.send(SimTime::from_millis(1), f, Direction::ToResponder, b"hello");
         assert_eq!(net.flow(f).bytes_to_responder, 5);
-        assert!(net.recv(f, Direction::ToResponder).is_empty());
         let trace = net.into_trace();
         assert!(trace
             .records()
@@ -513,7 +467,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_allocation_state() {
         let (a, b) = hosts();
-        let mut net = Network::new().without_delivery();
+        let mut net = Network::new();
         net.set_scope(3);
         net.ephemeral_port();
         net.open(SimTime::ZERO, a, 1, b, 2);
@@ -529,7 +483,7 @@ mod tests {
 
         // A fresh network with restored counters continues the exact
         // allocation sequence the original would have produced.
-        let mut fresh = Network::new().without_delivery();
+        let mut fresh = Network::new();
         fresh.restore_counters(&snap);
         net.set_scope(3);
         fresh.set_scope(3);

@@ -1,7 +1,7 @@
 //! Interactive adversary: a hands-on-keyboard attacker at a live REPL.
 //!
 //! Part 1 drives the loop the session plane is built around — client →
-//! transport → kernel → outcome → next action — one exchange at a time,
+//! kernel → outcome → next action — one exchange at a time,
 //! printing what the adversary saw and what it decided to do about it.
 //! Part 2 runs the same adversaries (plus a notebook worm) inside the
 //! fused streamed pipeline and prints the detection report.
@@ -15,16 +15,15 @@ use jupyter_audit::attackgen::{AttackClass, SessionOp};
 use jupyter_audit::core::pipeline::{CampaignPlan, InteractiveScenario, Pipeline, PipelineConfig};
 use jupyter_audit::kernelsim::deployment::{Deployment, DeploymentSpec};
 use jupyter_audit::kernelsim::server::ClientConn;
-use jupyter_audit::kernelsim::transport::{DirectTransport, SessionRequest, SessionTransport};
 use jupyter_audit::netsim::addr::{HostAddr, HostId};
 use jupyter_audit::netsim::network::Network;
 use jupyter_audit::netsim::time::SimTime;
 use std::collections::BTreeMap;
 
 fn main() {
-    println!("=== interactive adversary: client -> transport -> kernel -> outcome ===\n");
+    println!("=== interactive adversary: client -> kernel -> outcome ===\n");
 
-    // ---- Part 1: the raw reactive loop over the transport seam. ----
+    // ---- Part 1: the raw reactive loop, one delivery at a time. ----
     let mut deployment = Deployment::build(&DeploymentSpec::small_lab(7));
     let entry_user = deployment.owner_of(0).to_string();
     let mut net = Network::new();
@@ -36,11 +35,11 @@ fn main() {
     while let Some(action) = adversary.next_action(last_outcome.as_ref()) {
         exchange += 1;
         t += action.delay;
-        let mut transport = DirectTransport::new(&mut deployment.servers[action.server]);
+        let server = &mut deployment.servers[action.server];
         let conn = conns
             .entry((action.server, action.user.clone()))
             .or_insert_with(|| {
-                transport.connect(
+                server.connect(
                     &mut net,
                     t,
                     HostAddr::internal(HostId(1000 + action.server as u32)),
@@ -48,17 +47,16 @@ fn main() {
                     0,
                 )
             });
-        let (label, request) = match &action.op {
-            SessionOp::Cell(script) => ("cell", SessionRequest::ExecuteCell(script)),
-            SessionOp::Terminal(cmd) => ("term", SessionRequest::TerminalCommand(cmd)),
-        };
-        let shown = match &action.op {
-            SessionOp::Cell(script) => script.code.clone(),
-            SessionOp::Terminal(cmd) => cmd.clone(),
+        let (label, shown) = match &action.op {
+            SessionOp::Cell(script) => ("cell", &script.code),
+            SessionOp::Terminal(cmd) => ("term", cmd),
         };
         println!("[{exchange}] {label} on server {}: {shown}", action.server);
-        let delivery = transport.deliver(&mut net, t, conn, request);
-        let outcome = delivery.outcome(conn).expect("well-formed replies");
+        let delivery = match &action.op {
+            SessionOp::Cell(script) => server.deliver_cell(&mut net, t, conn, script),
+            SessionOp::Terminal(cmd) => server.deliver_terminal(&mut net, t, conn, cmd),
+        };
+        let outcome = conn.decode_outcome(&delivery).expect("well-formed replies");
         let gist = if !outcome.stderr.is_empty() {
             format!("ERROR  {}", outcome.stderr.lines().next().unwrap_or(""))
         } else if !outcome.stdout.is_empty() {
