@@ -7,7 +7,7 @@
 
 use ja_kernelsim::events::{SysEvent, SysEventKind};
 use ja_netsim::time::SimTime;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Graph node.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -155,9 +155,9 @@ impl ProvenanceGraph {
     }
 
     /// Ancestry: nodes with a time-respecting path *into* `node`
-    /// (what influenced this artifact).
-    pub fn ancestry(&self, node: &Node) -> HashSet<Node> {
-        let mut seen = HashSet::new();
+    /// (what influenced this artifact), in [`Node`] order.
+    pub fn ancestry(&self, node: &Node) -> BTreeSet<Node> {
+        let mut seen = BTreeSet::new();
         let mut queue: VecDeque<(Node, SimTime)> = VecDeque::new();
         queue.push_back((node.clone(), SimTime(u64::MAX)));
         while let Some((n, before)) = queue.pop_front() {
@@ -174,9 +174,9 @@ impl ProvenanceGraph {
     }
 
     /// Taint reach: nodes reachable *from* `node` by time-respecting
-    /// paths (where could this data have gone).
-    pub fn reach(&self, node: &Node) -> HashSet<Node> {
-        let mut seen = HashSet::new();
+    /// paths (where could this data have gone), in [`Node`] order.
+    pub fn reach(&self, node: &Node) -> BTreeSet<Node> {
+        let mut seen = BTreeSet::new();
         let mut queue: VecDeque<(Node, SimTime)> = VecDeque::new();
         queue.push_back((node.clone(), SimTime::ZERO));
         while let Some((n, after)) = queue.pop_front() {
@@ -193,15 +193,12 @@ impl ProvenanceGraph {
     }
 
     /// Files whose content could have reached `remote` (exfil scoping):
-    /// ancestry of the remote filtered to file nodes.
+    /// ancestry of the remote filtered to file nodes, sorted.
     pub fn files_reaching_remote(&self, remote: &Node) -> Vec<Node> {
-        let mut files: Vec<Node> = self
-            .ancestry(remote)
+        self.ancestry(remote)
             .into_iter()
             .filter(|n| matches!(n, Node::File(_, _)))
-            .collect();
-        files.sort();
-        files
+            .collect()
     }
 }
 
@@ -287,6 +284,45 @@ mod tests {
         let file = Node::File(0, "/home/alice/models/ckpt_0.bin".into());
         let reach = g.reach(&file);
         assert!(reach.contains(&Node::Remote(format!("{}:443", HostAddr::external(21)))));
+    }
+
+    #[test]
+    fn ancestry_iterates_in_node_order() {
+        let mk = |t: u64, kind: SysEventKind| SysEvent {
+            time: SimTime::from_secs(t),
+            server_id: 0,
+            user: "u".into(),
+            kind,
+        };
+        let read = |path: &str| SysEventKind::FileRead {
+            path: path.into(),
+            bytes: 1,
+        };
+        // Discovered as user, /b, /a; listed in `Node` order.
+        let g = ProvenanceGraph::from_events(&[
+            mk(1, read("/b")),
+            mk(2, read("/a")),
+            mk(
+                3,
+                SysEventKind::FileWrite {
+                    path: "/out".into(),
+                    bytes: 1,
+                    entropy_bits: 1.0,
+                },
+            ),
+        ]);
+        let anc: Vec<Node> = g
+            .ancestry(&Node::File(0, "/out".into()))
+            .into_iter()
+            .collect();
+        assert_eq!(
+            anc,
+            [
+                Node::User("u".into()),
+                Node::File(0, "/a".into()),
+                Node::File(0, "/b".into()),
+            ]
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
     );
     for volume in [1usize, 2, 5, 10, 20, 40] {
         let mut cfg = PipelineConfig::small_lab(seed);
-        cfg.shards = Some(rayon::current_num_threads());
+        cfg.shards = Some(std::thread::available_parallelism().map_or(1, |n| n.get()));
         let mut p = Pipeline::new(cfg);
         let mut rng = SimRng::new(seed + volume as u64);
         let classes = [

@@ -1,7 +1,8 @@
 //! # ja-bench — experiment harness
 //!
-//! One binary per paper artifact/claim plus criterion micro-benchmarks.
-//! This library is the harness every binary shares: the command line
+//! One binary per paper artifact/claim plus the substrate
+//! microbenchmarks (`micro_substrate`). This library is the harness
+//! every binary shares: the command line
 //! ([`Args`]), the `BENCH_<name>.json` report ([`Args::emit`]), best-of
 //! timing ([`best_of`]), JSON-safe numbers ([`finite`]), the alert
 //! identity that output-equivalence gates compare ([`alert_keys`]) and

@@ -46,3 +46,26 @@ pub use service::{
     ServiceError, SocService,
 };
 pub use taxonomy::Taxonomy;
+
+#[cfg(test)]
+mod tests {
+    use crate::pipeline::par_map;
+
+    #[test]
+    fn preserves_order_and_filters() {
+        let data: Vec<u64> = (0..10_000).collect();
+        let out: Vec<u64> = par_map(&data, |&x| (x % 3 == 0).then_some(x * 2))
+            .into_iter()
+            .flatten()
+            .collect();
+        let expect: Vec<u64> = (0..10_000).filter(|x| x % 3 == 0).map(|x| x * 2).collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn empty_input() {
+        let data: Vec<u32> = vec![];
+        let out: Vec<u32> = par_map(&data, |&x| x);
+        assert!(out.is_empty());
+    }
+}

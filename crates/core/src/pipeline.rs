@@ -39,7 +39,6 @@ use ja_monitor::engine::{Monitor, MonitorConfig, MonitorStats};
 use ja_monitor::streaming::{MonitorShardSnapshot, StreamingConfig};
 use ja_netsim::rng::SimRng;
 use ja_netsim::time::{Duration, SimTime};
-use rayon::prelude::*;
 
 /// Decorrelates the scenario stream's seed from the plan's placement
 /// seed.
@@ -648,18 +647,34 @@ impl Pipeline {
     /// multi-deployment regime an NCSA-scale operator actually runs,
     /// where each cluster or lab has its own JupyterHub and the SOC
     /// aggregates across all of them. Each job builds its own
-    /// [`Pipeline`] on a rayon worker; run order in the output matches
-    /// job order regardless of scheduling.
+    /// [`Pipeline`] on one of `available_parallelism()` scoped threads,
+    /// each taking a contiguous chunk of the jobs; run order in the
+    /// output matches job order regardless of scheduling.
     pub fn run_fleet(jobs: Vec<FleetJob>) -> FleetOutcome {
-        let runs = jobs
-            .par_iter()
-            .map(|job| FleetRun {
-                label: job.label.clone(),
-                outcome: Pipeline::new(job.config.clone()).run(&job.plan),
-            })
-            .collect();
+        let runs = par_map(&jobs, |job| FleetRun {
+            label: job.label.clone(),
+            outcome: Pipeline::new(job.config.clone()).run(&job.plan),
+        });
         FleetOutcome { runs }
     }
+}
+
+/// Map `f` over `items` on `available_parallelism()` scoped threads,
+/// each taking a contiguous chunk; the output keeps input order.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunk = items.len().div_ceil(workers).max(1);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("par_map worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -703,8 +718,8 @@ mod tests {
 
     #[test]
     fn worker_counts_come_from_the_config_not_the_pool() {
-        // CI runs this under RAYON_NUM_THREADS=1,2,4: whatever the pool
-        // width, the counts are the configured ones, and unset means 1.
+        // Shard and producer counts are the configured ones, never the
+        // machine's core count, and unset means 1.
         for t in [1, 2, 4] {
             let mut cfg = PipelineConfig::small_lab(1);
             cfg.shards = Some(t);
@@ -786,6 +801,10 @@ mod tests {
                 .sum::<usize>()
         );
         assert!(fleet.render().contains("lab-b"));
+        // An empty fleet runs nothing and aggregates to zero.
+        let empty = Pipeline::run_fleet(Vec::new());
+        assert!(empty.runs.is_empty());
+        assert_eq!(empty.detection_totals(), (0, 0));
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl ByteStats {
     }
 }
 
-/// Shannon entropy of a slice, in bits/byte (convenience wrapper).
-pub fn shannon_entropy(data: &[u8]) -> f64 {
-    ByteStats::from_bytes(data).shannon_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

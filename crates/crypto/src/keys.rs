@@ -87,13 +87,6 @@ impl RotationPolicy {
         }
     }
 
-    /// A lax policy often seen in practice: keys live for 30 days.
-    pub fn monthly() -> Self {
-        RotationPolicy {
-            max_cryptoperiod_secs: 30 * 86_400,
-        }
-    }
-
     /// Is a key established at `established_at` still valid at `now`?
     pub fn is_valid(&self, established_at: u64, now: u64) -> bool {
         now.saturating_sub(established_at) < self.max_cryptoperiod_secs
@@ -142,11 +135,6 @@ impl KeyRing {
     /// change takes effect at the next rotation.
     pub fn migrate(&mut self, kex: KexAlgorithm) {
         self.kex = kex;
-    }
-
-    /// Number of keys minted so far (including the current one).
-    pub fn keys_minted(&self) -> u64 {
-        self.next_id
     }
 }
 

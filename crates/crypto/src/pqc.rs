@@ -53,11 +53,6 @@ impl HarvestAdversary {
         self.archive.iter().map(|s| s.bytes).sum()
     }
 
-    /// Number of archived sessions.
-    pub fn archived_sessions(&self) -> usize {
-        self.archive.len()
-    }
-
     /// Bytes readable by the adversary if a CRQC arrives on `crqc_day`:
     /// sessions that used a quantum-vulnerable exchange *and* are still
     /// sensitive on that day.

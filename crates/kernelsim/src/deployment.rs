@@ -249,21 +249,6 @@ impl Deployment {
         }
         out
     }
-
-    /// All kernel-audit events across the fleet, time-ordered (ties
-    /// broken by server index, then per-server emission order). Note
-    /// that streamed scenario execution *drains* server event buffers
-    /// as it runs, so after a streamed run this returns only what was
-    /// not consumed.
-    pub fn all_sys_events(&self) -> Vec<crate::events::SysEvent> {
-        let mut all: Vec<_> = self
-            .servers
-            .iter()
-            .flat_map(|s| s.sys_events.iter().cloned())
-            .collect();
-        all.sort_by_key(|e| e.time);
-        all
-    }
 }
 
 #[cfg(test)]

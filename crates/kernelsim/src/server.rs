@@ -731,12 +731,6 @@ impl NotebookServer {
         let mut frng = self.rng.fork(user.len() as u64 + now.as_micros());
         self.vfs.populate_home(user, &mut frng, now);
     }
-
-    /// Write-access to the RNG for campaign code needing server-local
-    /// deterministic draws.
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -166,12 +166,6 @@ impl StreamState {
         !self.pending.is_empty()
     }
 
-    /// Total delivered in-order bytes (whether or not they were
-    /// retained in `data`).
-    pub fn delivered_len(&self) -> u64 {
-        self.next
-    }
-
     /// Bytes this direction currently holds onto: the retained
     /// contiguous buffer plus unique bytes stuck behind a gap.
     pub fn retained_bytes(&self) -> u64 {

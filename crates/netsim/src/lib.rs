@@ -49,3 +49,20 @@ pub use rng::SimRng;
 pub use segment::{Direction, SegmentRecord};
 pub use time::{Duration, SimTime};
 pub use trace::Trace;
+
+#[cfg(test)]
+mod tests {
+    use super::SimRng;
+
+    fn words(seed: u64) -> [u8; 128] {
+        let mut buf = [0u8; 128];
+        SimRng::new(seed).fill_bytes(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn deterministic_and_distinct() {
+        assert_eq!(words(1), words(1));
+        assert_ne!(words(1), words(2));
+    }
+}

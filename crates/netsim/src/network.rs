@@ -247,11 +247,6 @@ impl Network {
         &self.flows[&flow.0]
     }
 
-    /// Number of flows ever opened.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Segments captured so far.
     pub fn captured(&self) -> usize {
         self.records.len()

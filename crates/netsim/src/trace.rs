@@ -195,16 +195,6 @@ impl Trace {
         t.sort();
         t
     }
-
-    /// Events per second over the capture (0 for sub-µs captures).
-    pub fn rate_segments_per_sec(&self) -> f64 {
-        let s = self.summary();
-        if s.duration_secs <= 0.0 {
-            0.0
-        } else {
-            s.segments as f64 / s.duration_secs
-        }
-    }
 }
 
 #[cfg(test)]
