@@ -4,22 +4,20 @@
 //! wave model.
 //!
 //! Each cell builds a deployment with `decoys` bait servers, runs an
-//! internet-wave campaign through `Pipeline::run_campaigns`,
-//! and reads the intel loop's outcome: decoys capture the payload
-//! mid-stream, `rule_from_capture` signatures propagate over the intel
-//! bus after the configured delay, and production flows beginning after
-//! propagation raise `AlertSource::HoneypotIntel` alerts. A production
-//! visit counts as a *victim* when its payload cell ran before the
-//! signature was available.
+//! internet-wave campaign through `Pipeline::run_campaigns`
+//! (`ja_bench::fleet::run_wave`), and reads the intel loop's outcome:
+//! decoys capture the payload mid-stream, `rule_from_capture`
+//! signatures reach production monitors after the configured delay,
+//! and production flows beginning after propagation raise
+//! `AlertSource::HoneypotIntel` alerts. A production visit counts as a
+//! *victim* when its payload cell ran before the signature was
+//! available.
 //!
 //! `--tiny` shrinks the sweep to a CI smoke run; `--seed N` reseeds.
 
-use ja_core::intel::{build_wave, IntelConfig, WaveSpec};
-use ja_core::pipeline::{Pipeline, PipelineConfig};
-use ja_kernelsim::deployment::DeploymentSpec;
-use ja_monitor::alerts::AlertSource;
-use ja_netsim::rng::SimRng;
-use ja_netsim::time::{Duration, SimTime};
+use ja_bench::fleet::run_wave;
+use ja_core::intel::IntelConfig;
+use ja_netsim::time::Duration;
 
 const REALISM: f64 = 0.9;
 
@@ -32,56 +30,22 @@ struct Cell {
     tts_min: f64,
 }
 
-/// Run one wave through the streamed pipeline and measure exposure.
-#[allow(clippy::too_many_arguments)]
-fn run_wave(
-    production: usize,
-    decoys: usize,
-    prop_secs: u64,
-    sophistication: f64,
-    realism: f64,
-    seed: u64,
-) -> (usize, usize, usize, Option<SimTime>) {
-    let mut cfg = PipelineConfig::small_lab(seed);
-    cfg.deployment = DeploymentSpec {
-        servers: production,
-        decoys,
-        ..DeploymentSpec::small_lab(seed)
-    };
-    let intel = IntelConfig {
+/// An intel loop whose signatures propagate in `prop_secs`, over decoys
+/// of `realism`.
+fn intel(prop_secs: u64, realism: f64) -> IntelConfig {
+    IntelConfig {
         propagation: Duration::from_secs(prop_secs),
         realism,
         ..Default::default()
-    };
-    cfg.intel = Some(intel.clone());
-    let mut p = Pipeline::new(cfg);
-    let mut rng = SimRng::new(seed ^ 0x1A7E);
-    let spec = WaveSpec {
-        sophistication,
-        ..Default::default()
-    };
-    let wave = build_wave(p.deployment(), &intel, &spec, &mut rng);
-    let start = SimTime::from_secs(60);
-    let out = p.run_campaigns(vec![(start, wave.campaign)], seed);
-    let intel = out.intel.expect("intel loop configured");
-    let avail = intel.first_available;
-    let hit = wave
-        .production_visits
-        .iter()
-        .filter(|(_, off)| avail.map_or(true, |a| start + *off < a))
-        .count();
-    let protected = wave.production_visits.len() - hit;
-    let intel_alerts = out.report.alerts_from(AlertSource::HoneypotIntel);
-    (hit, protected, intel_alerts, avail)
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Mean exposure over `trials` waves.
 fn cell(
     production: usize,
     decoys: usize,
-    prop_secs: u64,
+    intel: &IntelConfig,
     soph: f64,
-    realism: f64,
     seed: u64,
     trials: u64,
 ) -> Cell {
@@ -91,12 +55,11 @@ fn cell(
     let mut tts = 0.0;
     let mut tts_n = 0u64;
     for t in 0..trials {
-        let (h, p, a, avail) =
-            run_wave(production, decoys, prop_secs, soph, realism, seed + 131 * t);
-        hit += h as f64;
-        prot += p as f64;
-        alerts += a as f64;
-        if let Some(at) = avail {
+        let e = run_wave(production, decoys, intel, soph, seed + 131 * t);
+        hit += e.victims_hit as f64;
+        prot += e.victims_protected as f64;
+        alerts += e.intel_alerts as f64;
+        if let Some(at) = e.intel.first_available {
             tts += at.as_secs_f64() / 60.0;
             tts_n += 1;
         }
@@ -137,7 +100,7 @@ fn main() {
         print!("{decoys:<8}");
         let mut row = Vec::new();
         for &prop in prop_axis {
-            let c = cell(production, decoys, prop, 0.0, REALISM, seed, trials);
+            let c = cell(production, decoys, &intel(prop, REALISM), 0.0, seed, trials);
             print!(
                 " {:>22}",
                 format!("{:>5.1} / {:>6.1}min", c.victims_hit, c.tts_min)
@@ -200,10 +163,11 @@ fn main() {
             "{:<8} {:>10} {:>10} {:>10}",
             "decoys", "s=0.0", "s=0.5", "s=1.0"
         );
+        let naive_bait = intel(600, 0.3);
         for &decoys in decoy_axis {
             print!("{decoys:<8}");
             for soph in [0.0f64, 0.5, 1.0] {
-                let c = cell(production, decoys, 600, soph, 0.3, seed * 7 + 1, trials);
+                let c = cell(production, decoys, &naive_bait, soph, seed * 7 + 1, trials);
                 print!(" {:>10.1}", c.victims_hit);
             }
             println!();

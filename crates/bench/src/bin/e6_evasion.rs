@@ -5,13 +5,13 @@
 
 use ja_attackgen::evasion::{low_and_slow, RuleInferenceAttacker};
 use ja_attackgen::takeover::{campaign as takeover_campaign, TakeoverParams};
+use ja_bench::fleet::run_wave;
+use ja_core::intel::IntelConfig;
 use ja_core::pipeline::{Pipeline, PipelineConfig};
-use ja_honeypot::{simulate_wave, WaveParams};
-use ja_netsim::rng::SimRng;
 use ja_netsim::time::SimTime;
 
 fn main() {
-    let seed = ja_bench::Args::from_env().seed;
+    let ja_bench::Args { seed, tiny, .. } = ja_bench::Args::from_env();
     println!("=== E6: evasion and the honeypot response (seed {seed}) ===\n");
 
     // (a) Low-and-slow brute force vs the windowed auth detector.
@@ -72,25 +72,23 @@ fn main() {
     );
     println!("  leaving only beacon-periodicity and audit-volume rules in play.");
 
-    // (c) Honeypot time-to-signature.
-    println!("\n(c) honeypot fleet: victim exposure during a mining wave (50 production targets)");
+    // (c) Honeypot time-to-signature, on the streamed pipeline.
+    let (production, trials) = if tiny { (4, 2) } else { (16, 10) };
+    let intel = IntelConfig::default();
+    println!(
+        "\n(c) honeypot fleet: victim exposure during a mining wave \
+         ({production} production targets, sophistication 0.3)"
+    );
     println!(
         "{:<8} {:>14} {:>16} {:>16}",
         "decoys", "victims hit", "protected", "protection"
     );
     for decoys in [0usize, 2, 4, 8, 16] {
-        let mut hit = 0usize;
-        let mut prot = 0usize;
-        let trials = 25u64;
+        let (mut hit, mut prot) = (0, 0);
         for t in 0..trials {
-            let params = WaveParams {
-                decoys,
-                ..Default::default()
-            };
-            let mut rng = SimRng::new(seed * 1000 + t);
-            let out = simulate_wave(&params, &mut rng);
-            hit += out.victims_hit;
-            prot += out.victims_protected;
+            let e = run_wave(production, decoys, &intel, 0.3, seed * 1000 + t);
+            hit += e.victims_hit;
+            prot += e.victims_protected;
         }
         println!(
             "{:<8} {:>14.1} {:>16.1} {:>15.1}%",

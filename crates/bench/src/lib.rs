@@ -5,12 +5,15 @@
 //! every binary shares: the command line
 //! ([`Args`]), the `BENCH_<name>.json` report ([`Args::emit`]), best-of
 //! timing ([`best_of`]), JSON-safe numbers ([`finite`]), the alert
-//! identity that output-equivalence gates compare ([`alert_keys`]) and
+//! identity that output-equivalence gates compare ([`alert_keys`]),
 //! the one-user notebook session the protocol experiments capture
-//! ([`notebook_session`]).
+//! ([`notebook_session`]) and the honeypot wave E6(c) and A1 sweep
+//! ([`fleet::run_wave`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod fleet;
 
 use ja_attackgen::AttackClass;
 use ja_kernelsim::actions::CellScript;

@@ -1,5 +1,5 @@
-//! The live honeypot-intel loop: decoy → signature → intel bus →
-//! hot-reloaded monitor rules.
+//! The honeypot-intel loop: decoy → signature → hot-reloaded monitor
+//! rules.
 //!
 //! The paper's §IV.A lesson is that defenders "deploy Jupyter Notebook
 //! monitors early at the network edges, for example, on a set of
@@ -16,12 +16,15 @@
 //!    kernel-audit items from decoy servers. Anything executing on a decoy is hostile by construction; each
 //!    cell is recorded via [`Decoy::capture`].
 //! 3. Every distinct captured payload yields a signature
-//!    ([`ja_honeypot::signature::rule_from_capture`]) published on the
-//!    pipeline's [`IntelBus`] and mirrored into the monitor's
-//!    hot-reloadable [`RuleFeed`] with `available_at = learned_at +
-//!    propagation` — so production flows that begin after propagation
-//!    raise [`AlertSource::HoneypotIntel`](ja_monitor::alerts::AlertSource)
-//!    alerts mid-stream, and nothing matches retroactively.
+//!    ([`ja_honeypot::signature::rule_from_capture`]) published into
+//!    the monitor's hot-reloadable [`RuleFeed`] with `available_at =
+//!    learned_at + propagation` — so production flows that begin after
+//!    propagation raise
+//!    [`AlertSource::HoneypotIntel`](ja_monitor::alerts::AlertSource)
+//!    alerts mid-stream, and nothing matches retroactively. The feed is
+//!    the loop's one record of what it learned: the signature sequence
+//!    number, the payload dedup index and the run's
+//!    [`IntelOutcome::published`] list are all derived from it.
 //!
 //! Each publish bumps the feed's generation epoch; monitor shards key
 //! their compiled Aho-Corasick snapshot on it
@@ -35,10 +38,9 @@
 use ja_attackgen::campaign::{Campaign, CampaignStep};
 use ja_attackgen::stream::ScenarioItem;
 use ja_attackgen::AttackClass;
-use ja_honeypot::decoy::Interaction;
 use ja_honeypot::intel::PublishedRule;
-use ja_honeypot::signature::rule_from_capture;
-use ja_honeypot::{Decoy, IntelBus};
+use ja_honeypot::signature::{distinctive_token, rule_from_capture};
+use ja_honeypot::Decoy;
 use ja_kernelsim::actions::{Action, CellScript};
 use ja_kernelsim::deployment::Deployment;
 use ja_kernelsim::events::SysEventKind;
@@ -76,27 +78,22 @@ impl Default for IntelConfig {
     }
 }
 
-/// Where decoy captures attribute the remote peer. The kernel-audit
-/// plane sees the executing user, not the network source, so captures
-/// carry this placeholder external address (`203.0.190.239`).
-const UNATTRIBUTED_PEER: HostAddr = HostAddr(0xCB00_0000 | 0xBEEF);
-
-/// Per-run state of the intel loop: the decoy fleet's capture books,
-/// the pipeline's intel bus, and the live feed handle shared with the
-/// monitor shards.
+/// Per-run state of the intel loop: the decoy fleet's capture books and
+/// the live feed handle shared with the monitor shards.
 pub(crate) struct IntelLoop {
     decoy_base: u32,
     decoys: Vec<Decoy>,
-    bus: IntelBus,
+    propagation: Duration,
     feed: RuleFeed,
-    seen_tokens: HashSet<String>,
+    /// Payload tokens the feed already signs: an index over the feed's
+    /// rules, rebuilt on restore rather than checkpointed.
+    tokens: HashSet<String>,
     triage_class: AttackClass,
-    seq: usize,
 }
 
 impl IntelLoop {
     /// Fresh loop state for one streamed run: one [`Decoy`] per decoy
-    /// server, an empty bus, an empty feed.
+    /// server and an empty feed.
     pub(crate) fn new(cfg: &IntelConfig, deployment: &Deployment) -> Self {
         let decoy_base = deployment.production_count() as u32;
         let decoys = deployment
@@ -106,11 +103,10 @@ impl IntelLoop {
         IntelLoop {
             decoy_base,
             decoys,
-            bus: IntelBus::new(cfg.propagation),
+            propagation: cfg.propagation,
             feed: RuleFeed::new(),
-            seen_tokens: HashSet::new(),
+            tokens: HashSet::new(),
             triage_class: cfg.triage_class,
-            seq: 0,
         }
     }
 
@@ -139,28 +135,17 @@ impl IntelLoop {
         let SysEventKind::CellExecute { code, .. } = &ev.kind else {
             return;
         };
-        decoy.capture(
-            ev.time,
-            UNATTRIBUTED_PEER,
-            Interaction::ExecuteCell { code: code.clone() },
-        );
-        let rule = rule_from_capture(decoy.id, self.seq, self.triage_class, code);
-        let Pattern::CodeSubstring(token) = &rule.pattern else {
-            return;
-        };
-        if self.seen_tokens.insert(token.clone()) {
-            self.seq += 1;
-            self.bus.publish(ev.time, rule.clone());
-            let inserted = self
-                .feed
-                .publish(ev.time + self.bus.propagation_delay, rule);
+        decoy.capture(ev.time, code);
+        if self.tokens.insert(distinctive_token(code)) {
+            let rule = rule_from_capture(decoy.id, self.feed.len(), self.triage_class, code);
+            let inserted = self.feed.publish(ev.time + self.propagation, rule);
             // Token-dedup guarantees a fresh id, so every publish must
             // bump the feed epoch (one shard recompile each).
             debug_assert!(inserted, "duplicate rule id escaped token dedup");
         }
     }
 
-    /// Finish the run: the decoy fleet's state and everything the bus
+    /// Finish the run: the decoy fleet's state and everything the feed
     /// published.
     pub(crate) fn into_outcome(self) -> IntelOutcome {
         let first_capture = self
@@ -168,11 +153,23 @@ impl IntelLoop {
             .iter()
             .flat_map(|d| d.captures.iter().map(|c| c.time))
             .min();
+        // Availability is learned-at plus propagation, exact in u64
+        // microseconds, so subtracting recovers the capture instant.
+        let published: Vec<PublishedRule> = self
+            .feed
+            .snapshot()
+            .into_iter()
+            .map(|t| PublishedRule {
+                learned_at: SimTime(t.available_at.0 - self.propagation.0),
+                available_at: t.available_at,
+                rule: t.rule,
+            })
+            .collect();
         IntelOutcome {
             captures: self.decoys.iter().map(|d| d.captures.len()).sum(),
             first_capture,
-            first_available: self.bus.first_available(),
-            published: self.bus.published().to_vec(),
+            first_available: published.iter().map(|p| p.available_at).min(),
+            published,
             decoys: self.decoys,
         }
     }
@@ -181,18 +178,12 @@ impl IntelLoop {
     /// (possibly in another process) yields a loop that observes the
     /// remainder of a stream exactly as this one would have.
     pub(crate) fn snapshot(&self) -> IntelSnapshot {
-        // The dedup set iterates in hash order; sort so equal states
-        // serialize identically (checkpoint digests rely on it).
-        let mut seen_tokens: Vec<String> = self.seen_tokens.iter().cloned().collect();
-        seen_tokens.sort_unstable();
         IntelSnapshot {
             decoy_base: self.decoy_base,
             decoys: self.decoys.clone(),
-            bus: self.bus.clone(),
+            propagation: self.propagation,
             feed: self.feed.checkpoint(),
-            seen_tokens,
             triage_class: self.triage_class,
-            seq: self.seq as u64,
         }
     }
 
@@ -203,19 +194,25 @@ impl IntelLoop {
         IntelLoop {
             decoy_base: snap.decoy_base,
             decoys: snap.decoys.clone(),
-            bus: snap.bus.clone(),
+            propagation: snap.propagation,
             feed: RuleFeed::restore(&snap.feed),
-            seen_tokens: snap.seen_tokens.iter().cloned().collect(),
+            tokens: snap
+                .feed
+                .rules
+                .iter()
+                .filter_map(|t| match &t.rule.pattern {
+                    Pattern::CodeSubstring(token) => Some(token.clone()),
+                    _ => None,
+                })
+                .collect(),
             triage_class: snap.triage_class,
-            seq: snap.seq as usize,
         }
     }
 }
 
 /// Checkpointed state of the honeypot intel loop: the decoy fleet's
-/// capture books, the bus's publish history, the hot-reload feed
-/// contents (rules + generation epoch), and the payload-dedup set.
-/// Everything `IntelLoop` needs to resume mid-service without
+/// capture books and the hot-reload feed contents (rules + generation
+/// epoch). Everything `IntelLoop` needs to resume mid-service without
 /// re-learning or double-publishing a signature.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct IntelSnapshot {
@@ -223,16 +220,12 @@ pub struct IntelSnapshot {
     pub decoy_base: u32,
     /// The decoy fleet, capture books included.
     pub decoys: Vec<Decoy>,
-    /// The intel bus: propagation delay plus publish history.
-    pub bus: IntelBus,
+    /// Triage + distribution latency of every published signature.
+    pub propagation: Duration,
     /// Hot-reload feed contents and generation epoch.
     pub feed: FeedCheckpoint,
-    /// Payload tokens already signed, sorted (dedup across epochs).
-    pub seen_tokens: Vec<String>,
     /// The triage class assigned to captured payloads.
     pub triage_class: AttackClass,
-    /// Next signature sequence number.
-    pub seq: u64,
 }
 
 /// What the intel loop did during one streamed run.
@@ -242,7 +235,7 @@ pub struct IntelOutcome {
     pub decoys: Vec<Decoy>,
     /// Total attacker interactions captured across the fleet.
     pub captures: usize,
-    /// Rules published on the bus (one per distinct payload, first
+    /// Rules published to the feed (one per distinct payload, first
     /// capture each), in publish order.
     pub published: Vec<PublishedRule>,
     /// Earliest decoy capture, if any.
@@ -250,6 +243,18 @@ pub struct IntelOutcome {
     /// Earliest instant a published signature reached production
     /// monitors, if any.
     pub first_available: Option<SimTime>,
+}
+
+impl IntelOutcome {
+    /// Production visits of a wave started at `start` (see
+    /// [`WaveCampaign::production_visits`]) whose payload cell ran
+    /// before any signature reached production monitors.
+    pub fn victims_hit(&self, start: SimTime, visits: &[(usize, Duration)]) -> usize {
+        visits
+            .iter()
+            .filter(|(_, off)| self.first_available.map_or(true, |a| start + *off < a))
+            .count()
+    }
 }
 
 /// Parameters of an internet-scale attack wave against one deployment:
@@ -440,26 +445,28 @@ mod tests {
         assert!(w.decoy_visits.is_empty());
     }
 
+    /// A cell execution on `server_id` at `t` seconds.
+    fn exec(server_id: u32, t: u64, code: &str) -> ScenarioItem {
+        use ja_kernelsim::events::SysEvent;
+        ScenarioItem::Sys(SysEvent {
+            time: SimTime::from_secs(t),
+            server_id,
+            user: "svc-decoy-0".into(),
+            kind: SysEventKind::CellExecute {
+                kernel_id: 0,
+                code: code.into(),
+            },
+        })
+    }
+
     #[test]
     fn intel_loop_captures_and_publishes_once_per_payload() {
-        use ja_kernelsim::events::{SysEvent, SysEventKind};
         let d = site(2);
         let cfg = IntelConfig {
             propagation: Duration::from_secs(300),
             ..Default::default()
         };
         let mut il = IntelLoop::new(&cfg, &d);
-        let exec = |server_id: u32, t: u64, code: &str| {
-            ScenarioItem::Sys(SysEvent {
-                time: SimTime::from_secs(t),
-                server_id,
-                user: "svc-decoy-0".into(),
-                kind: SysEventKind::CellExecute {
-                    kernel_id: 0,
-                    code: code.into(),
-                },
-            })
-        };
         // Production executions are invisible to the loop.
         il.observe(&exec(0, 5, "evil_dropper_v1()"));
         // Two captures of the same payload on different decoys: one rule.
@@ -471,6 +478,9 @@ mod tests {
         let out = il.into_outcome();
         assert_eq!(out.captures, 3);
         assert_eq!(out.published.len(), 2);
+        // Each rule is learned at its payload's first capture.
+        let learned: Vec<_> = out.published.iter().map(|p| p.learned_at).collect();
+        assert_eq!(learned, [SimTime::from_secs(10), SimTime::from_secs(30)]);
         assert_eq!(out.first_capture, Some(SimTime::from_secs(10)));
         // learned at 10s + 300s propagation.
         assert_eq!(out.first_available, Some(SimTime::from_secs(310)));
@@ -479,21 +489,69 @@ mod tests {
     }
 
     #[test]
+    fn rules_become_available_after_delay() {
+        let d = site(1);
+        let cfg = IntelConfig {
+            propagation: Duration::from_secs(600),
+            ..Default::default()
+        };
+        let mut il = IntelLoop::new(&cfg, &d);
+        il.observe(&exec(4, 100, "evil_dropper_v1()"));
+        assert!(il.feed().rules_at(SimTime::from_secs(699)).is_empty());
+        assert_eq!(il.feed().rules_at(SimTime::from_secs(700)).len(), 1);
+        let out = il.into_outcome();
+        assert_eq!(out.published[0].learned_at, SimTime::from_secs(100));
+        assert_eq!(out.first_available, Some(SimTime::from_secs(700)));
+    }
+
+    #[test]
+    fn merges_over_base_without_duplicates() {
+        let d = site(2);
+        let cfg = IntelConfig {
+            propagation: Duration::ZERO,
+            ..Default::default()
+        };
+        let mut il = IntelLoop::new(&cfg, &d);
+        // The same payload captured on both decoys signs once.
+        il.observe(&exec(4, 0, "evil_dropper_v1()"));
+        il.observe(&exec(5, 0, "evil_dropper_v1()"));
+        // Re-publishing an id the feed already holds is refused.
+        let dup = il.feed().snapshot()[0].rule.clone();
+        assert!(!il.feed().publish(SimTime::ZERO, dup));
+        let mut merged = ja_monitor::rules::RuleSet::builtin();
+        let base = merged.len();
+        il.feed()
+            .for_each_available(SimTime::from_secs(1), |r| merged.add(r.clone()));
+        assert_eq!(merged.len(), base + 1);
+    }
+
+    #[test]
+    fn empty_bus() {
+        let il = IntelLoop::new(&IntelConfig::default(), &site(2));
+        assert!(il.feed().is_empty());
+        let out = il.into_outcome();
+        assert!(out.published.is_empty());
+        assert_eq!(out.first_available, None);
+    }
+
+    #[test]
+    fn victims_hit_counts_visits_before_first_availability() {
+        let d = site(1);
+        let mut out = IntelLoop::new(&IntelConfig::default(), &d).into_outcome();
+        let visits = [(0, Duration::from_secs(10)), (1, Duration::from_secs(40))];
+        let start = SimTime::from_secs(60);
+        assert_eq!(out.victims_hit(start, &visits), 2);
+        // Only visits strictly before availability land.
+        out.first_available = Some(SimTime::from_secs(100));
+        assert_eq!(out.victims_hit(start, &visits), 1);
+        out.first_available = Some(SimTime::from_secs(70));
+        assert_eq!(out.victims_hit(start, &visits), 0);
+    }
+
+    #[test]
     fn intel_snapshot_round_trips_and_keeps_dedup_across_restore() {
-        use ja_kernelsim::events::{SysEvent, SysEventKind};
         let d = site(2);
         let mut il = IntelLoop::new(&IntelConfig::default(), &d);
-        let exec = |server_id: u32, t: u64, code: &str| {
-            ScenarioItem::Sys(SysEvent {
-                time: SimTime::from_secs(t),
-                server_id,
-                user: "svc-decoy-0".into(),
-                kind: SysEventKind::CellExecute {
-                    kernel_id: 0,
-                    code: code.into(),
-                },
-            })
-        };
         il.observe(&exec(4, 10, "evil_dropper_v1()"));
         il.observe(&exec(5, 20, "evil_dropper_v2()"));
         let snap = il.snapshot();
@@ -501,13 +559,13 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: IntelSnapshot =
             serde::Deserialize::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
-        assert_eq!(back.seen_tokens, snap.seen_tokens);
-        assert_eq!(back.seq, snap.seq);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
         assert_eq!(back.feed.epoch, snap.feed.epoch);
         assert_eq!(back.feed.rules.len(), 2);
 
         // A restored loop dedups payloads learned before the restore
-        // (no re-publish) but still learns genuinely new ones.
+        // (no re-publish) but still learns genuinely new ones, numbering
+        // them after the feed's rules.
         let mut restored = IntelLoop::restore(&back);
         assert_eq!(restored.feed().len(), 2);
         let epoch_before = restored.feed().epoch();
@@ -520,5 +578,6 @@ mod tests {
         // Capture books carried over plus the two new interactions.
         assert_eq!(out.captures, 4);
         assert_eq!(out.published.len(), 3);
+        assert_eq!(out.published[2].rule.id, "hp-4-2");
     }
 }

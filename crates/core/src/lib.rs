@@ -11,8 +11,8 @@
 //! - [`oscrp`] — avenues → concerns → consequences (Fig. 3), total and
 //!   tested.
 //! - [`intel`] — the live honeypot-intel loop: decoy servers capture
-//!   wave payloads mid-stream, signatures propagate over an intel bus
-//!   and hot-reload into the running monitor.
+//!   wave payloads mid-stream, and their signatures hot-reload into the
+//!   running monitor after a propagation delay.
 //! - [`classify`] — alert → incident grouping → OSCRP mapping.
 //! - [`metrics`] — precision/recall/F1 scoring of alerts against ground
 //!   truth (the E4 instrument).

@@ -972,51 +972,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_streamed_wave_closes_the_intel_loop_identically() {
+    /// A lab with two perfect decoys and a short propagation delay,
+    /// run with `producers` against a naive mass wave.
+    fn wave_lab(producers: Option<usize>) -> (crate::intel::WaveCampaign, RunOutcome) {
         use crate::intel::{build_wave, IntelConfig, WaveSpec};
-        // The intel loop observes the merged feed; its hot-reload
-        // behavior must be byte-for-byte what the sequential streamed
-        // path produces, regardless of requested producer count.
-        let intel_cfg = IntelConfig {
-            propagation: Duration::from_secs(120),
-            realism: 1.0,
-            ..Default::default()
-        };
-        let mk_cfg = |producers: Option<usize>| {
-            let mut cfg = PipelineConfig::small_lab(91);
-            cfg.deployment.decoys = 2;
-            cfg.intel = Some(intel_cfg.clone());
-            cfg.producers = producers;
-            cfg
-        };
-        let mut p1 = Pipeline::new(mk_cfg(Some(4)));
-        let mut rng = SimRng::new(5);
-        let wave = build_wave(p1.deployment(), &intel_cfg, &WaveSpec::default(), &mut rng);
-        let start = SimTime::from_secs(60);
-        let par = p1.run_campaigns(vec![(start, wave.campaign.clone())], 91);
-        let mut p2 = Pipeline::new(mk_cfg(None));
-        let seq = p2.run_campaigns(vec![(start, wave.campaign)], 91);
-        assert_eq!(alert_keys(&seq), alert_keys(&par));
-        let (si, pi) = (seq.intel.as_ref().unwrap(), par.intel.as_ref().unwrap());
-        assert_eq!(si.captures, pi.captures);
-        assert_eq!(si.published.len(), pi.published.len());
-        for (a, b) in si.published.iter().zip(&pi.published) {
-            assert_eq!(a.learned_at, b.learned_at);
-            assert_eq!(a.available_at, b.available_at);
-            assert_eq!(a.rule.id, b.rule.id);
-        }
-        assert_eq!(si.first_capture, pi.first_capture);
-        assert_eq!(si.first_available, pi.first_available);
-    }
-
-    #[test]
-    fn streamed_wave_closes_the_intel_loop() {
-        use crate::intel::{build_wave, IntelConfig, WaveSpec};
-        // A lab with two perfect decoys, a naive mass wave, and a short
-        // propagation delay: decoys capture the payload mid-stream, the
-        // signature hot-reloads into the running monitor, and later
-        // production visits raise HoneypotIntel alerts.
         let intel_cfg = IntelConfig {
             propagation: Duration::from_secs(120),
             realism: 1.0,
@@ -1025,13 +984,33 @@ mod tests {
         let mut cfg = PipelineConfig::small_lab(91);
         cfg.deployment.decoys = 2;
         cfg.intel = Some(intel_cfg.clone());
+        cfg.producers = producers;
         let mut p = Pipeline::new(cfg);
         let mut rng = SimRng::new(5);
         let wave = build_wave(p.deployment(), &intel_cfg, &WaveSpec::default(), &mut rng);
+        let out = p.run_campaigns(vec![(SimTime::from_secs(60), wave.campaign.clone())], 91);
+        (wave, out)
+    }
+
+    #[test]
+    fn parallel_streamed_wave_closes_the_intel_loop_identically() {
+        // The intel loop observes the merged feed; its hot-reload
+        // behavior must be byte-for-byte what the sequential streamed
+        // path produces, regardless of requested producer count.
+        let (_, par) = wave_lab(Some(4));
+        let (_, seq) = wave_lab(None);
+        assert_eq!(alert_keys(&seq), alert_keys(&par));
+        assert_eq!(format!("{:?}", seq.intel), format!("{:?}", par.intel));
+    }
+
+    #[test]
+    fn streamed_wave_closes_the_intel_loop() {
+        // Decoys capture the payload mid-stream, the signature
+        // hot-reloads into the running monitor, and later production
+        // visits raise HoneypotIntel alerts.
+        let (wave, out) = wave_lab(None);
         assert_eq!(wave.production_visits.len(), 4);
         assert_eq!(wave.decoy_visits.len(), 2);
-        let start = SimTime::from_secs(60);
-        let out = p.run_campaigns(vec![(start, wave.campaign)], 91);
         let intel = out.intel.as_ref().expect("intel loop ran");
         assert!(intel.captures >= 2, "captures {}", intel.captures);
         assert_eq!(intel.published.len(), 1, "one distinct payload");
@@ -1108,6 +1087,7 @@ mod tests {
         let intel = with_loop.intel.as_ref().unwrap();
         assert_eq!(intel.captures, 0);
         assert!(intel.published.is_empty());
+        assert_eq!(intel.first_available, None);
         assert_eq!(alert_keys(&with_loop), alert_keys(&without));
         assert_eq!(with_loop.report.alerts_from(AlertSource::HoneypotIntel), 0);
         // Without a configured loop the run reports no intel.

@@ -38,7 +38,7 @@ fn tiny_service_config(
     pcfg.shards = Some(shards);
     pcfg.producers = Some(producers);
     // The intel loop is always live: resume must carry decoy capture
-    // books, the publish bus and the hot-reload feed across the crash.
+    // books and the hot-reload feed across the crash.
     pcfg.intel = Some(IntelConfig::default());
     let mut cfg = ServiceConfig::new(pcfg, seed);
     cfg.checkpoint_items = Some(cadence);

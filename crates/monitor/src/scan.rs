@@ -116,14 +116,12 @@ enum SidePhase {
     Ws {
         dec: FrameDecoder,
         asm: MessageAssembler,
-        /// A decode error froze this side (the full-buffer path drops the whole side).
-        failed: bool,
     },
     /// This side reads nothing more: the upstream header failed UTF-8
     /// or upgrade-request validation or ran past the header cap, so the
     /// whole flow is non-WebSocket (full-buffer `try_parse` → `None`);
     /// or the downstream header ran past the cap, so that side yields
-    /// no frames.
+    /// no frames; or this side's frame decoder failed.
     Rejected,
 }
 
@@ -511,7 +509,6 @@ impl ProtoScan {
             self.up.phase = SidePhase::Ws {
                 dec: FrameDecoder::new(),
                 asm: MessageAssembler::new(),
-                failed: false,
             };
             feed_ws(&mut self.up, &rest);
             return;
@@ -538,7 +535,6 @@ impl ProtoScan {
             self.down.phase = SidePhase::Ws {
                 dec: FrameDecoder::new(),
                 asm: MessageAssembler::new(),
-                failed: false,
             };
             feed_ws(&mut self.down, &rest);
             return;
@@ -610,20 +606,17 @@ fn scan_crlfcrlf(buf: &[u8], searched: &mut usize) -> Option<usize> {
 /// Feed raw post-handshake bytes of one side through its WebSocket
 /// decoder, interpreting completed messages immediately.
 fn feed_ws(side: &mut SideScan, bytes: &[u8]) {
-    let SidePhase::Ws { dec, asm, failed } = &mut side.phase else {
+    let SidePhase::Ws { dec, asm } = &mut side.phase else {
         return;
     };
-    if *failed {
-        return;
-    }
     let frames = match dec.feed(bytes) {
         Ok(frames) => frames,
         Err(_) => {
             // The full-buffer path feeds the whole side in one call, so an
             // error anywhere drops every frame of the side and counts
             // exactly one opaque unit. Mirror that by retracting
-            // everything this side accumulated.
-            *failed = true;
+            // everything this side accumulated and releasing its buffers.
+            side.phase = SidePhase::Rejected;
             side.msgs.clear();
             side.opaque = 1;
             return;
@@ -827,6 +820,18 @@ mod tests {
     fn rejected_upstream_drops_both_sides() {
         let buf = flow_buf(&[0xff; 64], b"HTTP/1.1 101 Switching\r\n");
         let scanner = feed(&buf, None, &[1]);
+        assert_eq!(scanner.buffered(), 0);
+        assert_matches_eager(scanner, &buf, None);
+    }
+
+    #[test]
+    fn failed_frame_decode_releases_the_side() {
+        // A frame header with the reserved bits set fails the decoder;
+        // the side keeps none of the bytes that follow it.
+        let (mut buf, _) = session(TransportMode::PlainWs);
+        buf.down.data.extend_from_slice(&[0xf2, 0x7e, 0x10, 0x00]);
+        buf.down.data.extend_from_slice(&[0u8; 4096]);
+        let scanner = feed(&buf, None, &[]);
         assert_eq!(scanner.buffered(), 0);
         assert_matches_eager(scanner, &buf, None);
     }

@@ -2,8 +2,8 @@
 //! attackers", demonstrated on the real streamed pipeline. A deployment
 //! hosts deliberately exposed decoy servers; an internet wave visits
 //! every server in shuffled order; decoys capture the payload
-//! mid-stream; the extracted signature propagates over the intel bus
-//! and hot-reloads into the running monitor — so production flows that
+//! mid-stream; the extracted signature propagates to production and
+//! hot-reloads into the running monitor — so production flows that
 //! begin after propagation raise `HoneypotIntel` alerts while the
 //! capture is still streaming.
 //!
@@ -11,15 +11,18 @@
 //! cargo run --release --example honeypot_intel
 //! ```
 
-use jupyter_audit::core::intel::{build_wave, IntelConfig, WaveSpec};
-use jupyter_audit::core::pipeline::{Pipeline, PipelineConfig};
+use jupyter_audit::core::intel::{build_wave, IntelConfig, WaveCampaign, WaveSpec};
+use jupyter_audit::core::pipeline::{Pipeline, PipelineConfig, RunOutcome};
 use jupyter_audit::kernelsim::deployment::DeploymentSpec;
 use jupyter_audit::monitor::alerts::AlertSource;
 use jupyter_audit::netsim::rng::SimRng;
 use jupyter_audit::netsim::time::{Duration, SimTime};
 
-/// Run one wave against `decoys` bait servers and report exposure.
-fn run(decoys: usize, propagation_secs: u64) -> (usize, usize, usize) {
+/// When the wave starts: 60 s into the run.
+const START: SimTime = SimTime(60_000_000);
+
+/// Run one wave against 8 production servers and `decoys` bait servers.
+fn run(decoys: usize, propagation_secs: u64) -> (WaveCampaign, RunOutcome) {
     let mut cfg = PipelineConfig::small_lab(7);
     cfg.deployment = DeploymentSpec {
         servers: 8,
@@ -35,20 +38,16 @@ fn run(decoys: usize, propagation_secs: u64) -> (usize, usize, usize) {
     let mut p = Pipeline::new(cfg);
     let mut rng = SimRng::new(11);
     let wave = build_wave(p.deployment(), &intel, &WaveSpec::default(), &mut rng);
-    let start = SimTime::from_secs(60);
-    let out = p.run_campaigns(vec![(start, wave.campaign)], 7);
+    let out = p.run_campaigns(vec![(START, wave.campaign.clone())], 7);
+    (wave, out)
+}
+
+/// Victims hit, decoy captures and honeypot-intel alerts of one wave.
+fn exposure(decoys: usize, propagation_secs: u64) -> (usize, usize, usize) {
+    let (wave, out) = run(decoys, propagation_secs);
     let intel = out.intel.expect("intel loop configured");
-    let victims = wave
-        .production_visits
-        .iter()
-        .filter(|(_, off)| {
-            intel
-                .first_available
-                .map_or(true, |avail| start + *off < avail)
-        })
-        .count();
     (
-        victims,
+        intel.victims_hit(START, &wave.production_visits),
         intel.captures,
         out.report.alerts_from(AlertSource::HoneypotIntel),
     )
@@ -58,30 +57,13 @@ fn main() {
     println!("=== honeypot intel loop on the streamed pipeline ===\n");
 
     // One fully narrated run: 8 production servers, 4 decoys.
-    let mut cfg = PipelineConfig::small_lab(7);
-    cfg.deployment = DeploymentSpec {
-        servers: 8,
-        decoys: 4,
-        ..DeploymentSpec::small_lab(7)
-    };
-    let intel = IntelConfig {
-        propagation: Duration::from_secs(300),
-        realism: 0.9,
-        ..Default::default()
-    };
-    cfg.intel = Some(intel.clone());
-    let mut p = Pipeline::new(cfg);
-    let mut rng = SimRng::new(11);
-    let spec = WaveSpec::default();
-    let wave = build_wave(p.deployment(), &intel, &spec, &mut rng);
+    let (wave, out) = run(4, 300);
     println!(
         "wave: {} production visits, {} decoy visits, {} decoys fingerprinted+skipped",
         wave.production_visits.len(),
         wave.decoy_visits.len(),
         wave.decoys_skipped
     );
-    let start = SimTime::from_secs(60);
-    let out = p.run_campaigns(vec![(start, wave.campaign)], 7);
     let intel = out.intel.as_ref().expect("intel loop configured");
     println!("decoy captures:      {}", intel.captures);
     println!("first capture:       {:?}", intel.first_capture);
@@ -106,12 +88,12 @@ fn main() {
         "decoys", "victims", "captures", "hp alerts", "(prop 300 s)"
     );
     for decoys in [0usize, 2, 4, 8] {
-        let (victims, captures, alerts) = run(decoys, 300);
+        let (victims, captures, alerts) = exposure(decoys, 300);
         println!("{decoys:<8} {victims:>12} {captures:>12} {alerts:>12}");
     }
     println!("\nfaster intel, fewer victims (4 decoys):");
     for prop in [60u64, 300, 1800] {
-        let (victims, _, alerts) = run(4, prop);
+        let (victims, _, alerts) = exposure(4, prop);
         println!("  propagation {prop:>5} s -> victims {victims}, honeypot alerts {alerts}");
     }
 }

@@ -62,7 +62,7 @@ fn every_reexport_resolves() {
 
     // honeypot: a fresh decoy has captured nothing.
     let decoy = honeypot::decoy::Decoy::new(1, 0.9);
-    assert!(decoy.captured_code().is_empty());
+    assert!(decoy.captures.is_empty());
 
     // core: the pipeline from the crate-level doctest runs end to end,
     // and the fleet runner aggregates it.
