@@ -51,9 +51,6 @@ pub struct AuditDetector {
     /// Signature rules shared with the network monitor (cmdline + code
     /// patterns apply on this plane too).
     pub rules: RuleSet,
-    /// How signature rules execute: compiled automata (default) or the
-    /// naive linear scans (baseline for the equivalence tests).
-    pub match_mode: MatchMode,
 }
 
 impl Default for AuditDetector {
@@ -68,7 +65,6 @@ impl AuditDetector {
         AuditDetector {
             thresholds: AuditThresholds::default(),
             rules: RuleSet::builtin(),
-            match_mode: MatchMode::default(),
         }
     }
 
@@ -81,7 +77,7 @@ impl AuditDetector {
         self.ransomware(events, &mut alerts);
         self.mining(events, &mut alerts);
         self.exfil(events, &mut alerts);
-        let compiled = self.rules.compiled(self.match_mode);
+        let compiled = self.rules.compiled(MatchMode::Compiled);
         self.signatures(events, &compiled, &mut alerts);
         alerts.sort_by_key(|a| a.time);
         alerts

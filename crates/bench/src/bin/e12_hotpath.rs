@@ -293,8 +293,9 @@ fn phase_row(p: &PhaseOut, payload_bytes: u64, segments: usize, wall: f64) -> Ph
 }
 
 /// Run the full-buffer reference and the incremental engine over
-/// `records`, best-of-`reps` wall clock each, and check that their
-/// alert streams are bit-identical before any number is reported.
+/// `records`, best-of-`reps` wall clock each in alternating order, and
+/// check that their alert streams are bit-identical before any number
+/// is reported.
 /// `rematerialize_reference` gives the reference the pre-change per-hop
 /// payload copies. Copy and allocation counters are deterministic per
 /// run and read from the last repetition.
@@ -305,10 +306,12 @@ fn compare(
     rematerialize_reference: bool,
     reps: usize,
 ) -> Section {
-    let (reference_wall, reference) = ja_bench::best_of(reps, || {
-        run_phase(records, true, rematerialize_reference, inspect)
-    });
-    let (incr_wall, incr) = ja_bench::best_of(reps, || run_phase(records, false, false, inspect));
+    let (reference_wall, incr_wall, mut outs) = ja_bench::best_of_alternating(
+        reps,
+        || run_phase(records, true, rematerialize_reference, inspect),
+        || run_phase(records, false, false, inspect),
+    );
+    let (reference, incr) = outs.pop().expect("at least one rep");
     // The perf comparison is meaningless unless both agree
     // byte-for-byte on the alert stream.
     let identical = alert_keys(&reference.alerts) == alert_keys(&incr.alerts)

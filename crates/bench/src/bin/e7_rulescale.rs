@@ -20,7 +20,7 @@
 use ja_attackgen::campaign::{Campaign, CampaignStep};
 use ja_attackgen::AttackClass;
 use ja_bench::finite;
-use ja_core::pipeline::{Pipeline, PipelineConfig, RunOutcome};
+use ja_core::pipeline::{Pipeline, PipelineConfig};
 use ja_kernelsim::actions::CellScript;
 use ja_kernelsim::deployment::Deployment;
 use ja_monitor::matcher::MatchMode;
@@ -196,21 +196,18 @@ fn main() {
         // well above clock resolution.
         let passes = (4 * max_rules / n).max(4);
         let timed = |c: &ja_monitor::matcher::CompiledRuleSet| {
-            ja_bench::best_of(3, || {
-                let started = std::time::Instant::now();
-                let mut hits = 0usize;
-                for _ in 0..passes {
-                    for p in &payloads {
-                        hits += c.match_code(p).len();
-                    }
+            let started = std::time::Instant::now();
+            let mut hits = 0usize;
+            for _ in 0..passes {
+                for p in &payloads {
+                    hits += c.match_code(p).len();
                 }
-                std::hint::black_box(hits);
-                (started.elapsed().as_secs_f64(), ())
-            })
-            .0
+            }
+            std::hint::black_box(hits);
+            (started.elapsed().as_secs_f64(), ())
         };
-        let naive_secs = timed(&naive);
-        let compiled_secs = timed(&compiled);
+        let (naive_secs, compiled_secs, _) =
+            ja_bench::best_of_alternating(3, || timed(&naive), || timed(&compiled));
         let mb = (corpus_bytes * passes) as f64 / 1e6;
         let speedup = naive_secs / compiled_secs;
         println!(
@@ -250,44 +247,31 @@ fn main() {
     let mut pipeline_rows: Vec<PipelineRow> = Vec::new();
     for &n in rule_counts {
         let rules = synth_rules(n);
-        let run = |mode: MatchMode| -> (f64, RunOutcome) {
+        // Each run yields its segment count and alert keys.
+        let run = |mode: MatchMode| {
             let mut p = Pipeline::new(e2e_config(&rules, mode, seed));
             let campaigns = code_heavy_campaigns(p.deployment());
             let started = std::time::Instant::now();
             let out = p.run_campaigns(campaigns, seed);
-            (started.elapsed().as_secs_f64(), out)
+            let secs = started.elapsed().as_secs_f64();
+            let keys = ja_bench::alert_keys(&out.report.alerts);
+            (secs, (out.monitor_stats.segments, keys))
         };
-        // Interleave the modes rep by rep (alternating order) so
-        // allocator/cache state and throttle windows don't bias one
-        // side; keep the best wall clock of each.
-        let mut naive_secs = f64::MAX;
-        let mut compiled_secs = f64::MAX;
-        let mut segments = 0u64;
-        let mut alerts = 0usize;
-        for rep in 0..reps {
-            let order = if rep % 2 == 0 {
-                [MatchMode::Naive, MatchMode::Compiled]
-            } else {
-                [MatchMode::Compiled, MatchMode::Naive]
-            };
-            let mut prints: Vec<(MatchMode, Vec<_>)> = Vec::new();
-            for mode in order {
-                let (secs, out) = run(mode);
-                match mode {
-                    MatchMode::Naive => naive_secs = naive_secs.min(secs),
-                    MatchMode::Compiled => compiled_secs = compiled_secs.min(secs),
-                }
-                segments = out.monitor_stats.segments;
-                alerts = out.report.alerts.len();
-                prints.push((mode, ja_bench::alert_keys(&out.report.alerts)));
-            }
-            // The two modes must be indistinguishable in output before
-            // their timings are comparable.
+        let (naive_secs, compiled_secs, outs) = ja_bench::best_of_alternating(
+            reps,
+            || run(MatchMode::Naive),
+            || run(MatchMode::Compiled),
+        );
+        // The two modes must be indistinguishable in output, on every
+        // rep, before their timings are comparable.
+        for (rep, (naive, compiled)) in outs.iter().enumerate() {
             assert_eq!(
-                prints[0].1, prints[1].1,
+                naive, compiled,
                 "match modes diverged at {n} rules (rep {rep})"
             );
         }
+        let (segments, keys) = &outs[0].0;
+        let (segments, alerts) = (*segments, keys.len());
         let tput = |secs: f64| segments as f64 / secs;
         let speedup = naive_secs / compiled_secs;
         println!(

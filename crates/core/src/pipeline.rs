@@ -21,13 +21,14 @@
 //! forensics) runs [`ja_attackgen::campaign::execute`] directly.
 
 use crate::classify::incidents;
-use crate::intel::{IntelConfig, IntelLoop, IntelOutcome, IntelSnapshot};
+use crate::intel::{IntelConfig, IntelLoop, IntelOutcome};
 use crate::metrics::{score, ScoringConfig};
 use crate::report::Report;
+use crate::service::WatermarkProof;
 use ja_attackgen::campaign::{Campaign, GroundTruth};
 use ja_attackgen::mixer::build_attack;
 use ja_attackgen::parallel::run_parallel;
-use ja_attackgen::stream::{ScenarioItem, ScenarioStream, StreamSnapshot};
+use ja_attackgen::stream::{ScenarioItem, ScenarioStream};
 use ja_attackgen::AttackClass;
 use ja_audit::detectors::AuditDetector;
 use ja_audit::tracer::Tracer;
@@ -36,7 +37,7 @@ use ja_kernelsim::hub::AuthEvent;
 use ja_monitor::alerts::AlertSource;
 use ja_monitor::detectors::scan_config;
 use ja_monitor::engine::{Monitor, MonitorConfig, MonitorStats};
-use ja_monitor::streaming::{MonitorShardSnapshot, StreamingConfig};
+use ja_monitor::streaming::StreamingConfig;
 use ja_netsim::rng::SimRng;
 use ja_netsim::time::{Duration, SimTime};
 
@@ -121,24 +122,6 @@ pub struct RunOutcome {
     pub report: Report,
 }
 
-/// Layer state captured at one watermark of an epoch feed — what the
-/// service persists (and later verifies) when it checkpoints
-/// mid-stream. The item count and the layer snapshots all describe the
-/// instant *after* the `items`-th item was routed.
-pub(crate) struct EpochWatermark {
-    /// How many scenario items had been produced.
-    pub items: u64,
-    /// Producer-side state — only observable with one producer, where
-    /// the feeding thread owns the [`ScenarioStream`].
-    pub stream: Option<StreamSnapshot>,
-    /// Monitor engine state — only observable when the sink is a
-    /// single inline shard (sharded routers keep worker state on
-    /// other threads).
-    pub shard: Option<MonitorShardSnapshot>,
-    /// Intel-loop state, when the loop is live.
-    pub intel: Option<IntelSnapshot>,
-}
-
 /// Observation hooks an always-on driver (the SOC service) threads
 /// through one epoch's fused pump. The pump calls
 /// [`EpochObserver::on_item`] for every scenario item *before* routing
@@ -148,8 +131,11 @@ pub(crate) struct EpochWatermark {
 pub(crate) trait EpochObserver {
     /// One scenario item is about to be routed; `count` is 1-based.
     fn on_item(&mut self, count: u64, item: &ScenarioItem) -> bool;
-    /// A requested watermark capture.
-    fn at_watermark(&mut self, mark: EpochWatermark);
+    /// A requested watermark capture: the item count and every layer
+    /// snapshot the pump can observe, all as of the instant *after*
+    /// the `items`-th item was routed. The pump leaves `digest` zero;
+    /// the observer folds the feed digest and stamps it.
+    fn at_watermark(&mut self, mark: WatermarkProof);
 }
 
 /// Observer used by one-shot runs: no watermarks.
@@ -159,7 +145,7 @@ impl EpochObserver for NoopObserver {
     fn on_item(&mut self, _count: u64, _item: &ScenarioItem) -> bool {
         false
     }
-    fn at_watermark(&mut self, _mark: EpochWatermark) {}
+    fn at_watermark(&mut self, _mark: WatermarkProof) {}
 }
 
 /// An interactive scenario slot in a plan: which reactive adversary
@@ -396,7 +382,7 @@ impl Pipeline {
     /// pump with a *persistent* loop instead.
     pub fn run_campaigns(&mut self, campaigns: Vec<(SimTime, Campaign)>, seed: u64) -> RunOutcome {
         let intel_cfg = self.config.intel.as_ref();
-        let mut intel = intel_cfg.map(|cfg| IntelLoop::new(cfg, &self.deployment));
+        let mut intel = intel_cfg.map(|cfg| IntelLoop::new(cfg, &self.config.deployment));
         let mut out = self.pump_epoch(campaigns, seed, intel.as_mut(), &mut NoopObserver);
         out.intel = intel.map(IntelLoop::into_outcome);
         out
@@ -457,8 +443,9 @@ impl Pipeline {
                         ScenarioItem::Sys(ev) => tracer.ingest(ev),
                     }
                     if capture {
-                        observer.at_watermark(EpochWatermark {
+                        observer.at_watermark(WatermarkProof {
                             items: count,
+                            digest: 0,
                             stream: stream.map(ScenarioStream::snapshot),
                             shard: sink.shard_snapshot(),
                             intel: intel.as_deref().map(IntelLoop::snapshot),

@@ -41,9 +41,7 @@
 //!   [`ServiceStats`].
 
 use crate::intel::{build_wave, IntelLoop, IntelSnapshot, WaveSpec};
-use crate::pipeline::{
-    CampaignPlan, EpochObserver, EpochWatermark, Pipeline, PipelineConfig, RunOutcome,
-};
+use crate::pipeline::{CampaignPlan, EpochObserver, Pipeline, PipelineConfig, RunOutcome};
 use crate::report::Report;
 use ja_attackgen::campaign::GroundTruth;
 use ja_attackgen::stream::{ScenarioItem, StreamSnapshot};
@@ -54,7 +52,7 @@ use ja_netsim::rng::{split_seed, SimRng};
 use ja_netsim::time::{Duration, SimTime};
 
 /// Checkpoint format version; bumped on incompatible layout changes.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Decorrelates the per-epoch wave seed from the per-epoch stream seed.
 const WAVE_SALT: u64 = 0x5741_5645; // "WAVE"
@@ -261,12 +259,41 @@ pub struct WatermarkProof {
     pub items: u64,
     /// Rolling FNV-1a digest over per-item fingerprints.
     pub digest: u64,
-    /// Producer-side stream state (one producer only).
+    /// Producer-side stream state: observable with one producer only,
+    /// where the feeding thread owns the stream.
     pub stream: Option<StreamSnapshot>,
-    /// Monitor engine state (one shard only).
+    /// Monitor engine state: observable with one inline shard only
+    /// (sharded routers keep worker state on other threads).
     pub shard: Option<MonitorShardSnapshot>,
     /// Intel-loop state at the watermark, when the loop is live.
     pub intel: Option<IntelSnapshot>,
+}
+
+impl WatermarkProof {
+    /// Why `replay`, the same watermark reached again on resume,
+    /// diverges from this checkpointed proof, if it does. A layer is
+    /// compared where both sides observed it; the first mismatch of
+    /// intel loop, monitor shard, producer stream and feed digest, in
+    /// that order, names the failure.
+    fn divergence(&self, replay: &WatermarkProof) -> Option<String> {
+        fn differs<T: PartialEq>(theirs: &Option<T>, ours: &Option<T>) -> bool {
+            matches!((theirs, ours), (Some(a), Some(b)) if a != b)
+        }
+        if differs(&self.intel, &replay.intel) {
+            Some("intel loop state mismatch".into())
+        } else if differs(&self.shard, &replay.shard) {
+            Some("monitor shard state mismatch".into())
+        } else if differs(&self.stream, &replay.stream) {
+            Some("producer stream state mismatch".into())
+        } else {
+            (self.digest != replay.digest).then(|| {
+                format!(
+                    "feed digest {:#x} != checkpointed {:#x}",
+                    replay.digest, self.digest
+                )
+            })
+        }
+    }
 }
 
 /// Health state the degraded-mode controller carries across epochs.
@@ -480,37 +507,6 @@ struct EpochDriver {
     resume_verified: bool,
 }
 
-impl EpochDriver {
-    fn verify(&mut self, proof: &WatermarkProof, mark: &EpochWatermark) {
-        let mut failure: Option<String> = None;
-        if proof.digest != self.digest {
-            failure = Some(format!(
-                "feed digest {:#x} != checkpointed {:#x}",
-                self.digest, proof.digest
-            ));
-        }
-        if let (Some(theirs), Some(ours)) = (&proof.stream, &mark.stream) {
-            if theirs != ours {
-                failure = Some("producer stream state mismatch".into());
-            }
-        }
-        if let (Some(theirs), Some(ours)) = (&proof.shard, &mark.shard) {
-            if theirs != ours {
-                failure = Some("monitor shard state mismatch".into());
-            }
-        }
-        if let (Some(theirs), Some(ours)) = (&proof.intel, &mark.intel) {
-            if serde_json::to_string(theirs).ok() != serde_json::to_string(ours).ok() {
-                failure = Some("intel loop state mismatch".into());
-            }
-        }
-        match failure {
-            Some(why) => self.resume_failure = Some((mark.items, why)),
-            None => self.resume_verified = true,
-        }
-    }
-}
-
 impl EpochObserver for EpochDriver {
     fn on_item(&mut self, count: u64, item: &ScenarioItem) -> bool {
         self.items = count;
@@ -524,10 +520,14 @@ impl EpochObserver for EpochDriver {
         cadence_hit || resume_hit
     }
 
-    fn at_watermark(&mut self, mark: EpochWatermark) {
+    fn at_watermark(&mut self, mut mark: WatermarkProof) {
+        mark.digest = self.digest;
         if let Some(proof) = self.resume.take() {
             if proof.items == mark.items {
-                self.verify(&proof, &mark);
+                match proof.divergence(&mark) {
+                    Some(why) => self.resume_failure = Some((mark.items, why)),
+                    None => self.resume_verified = true,
+                }
             } else {
                 self.resume = Some(proof);
             }
@@ -535,13 +535,7 @@ impl EpochObserver for EpochDriver {
         if self.cadence.is_some_and(|n| n > 0 && mark.items % n == 0) {
             if let Some(base) = &self.base {
                 let mut chk = base.clone();
-                chk.watermark = Some(WatermarkProof {
-                    items: mark.items,
-                    digest: self.digest,
-                    stream: mark.stream,
-                    shard: mark.shard,
-                    intel: mark.intel,
-                });
+                chk.watermark = Some(mark);
                 self.latest = Some(chk);
                 self.taken += 1;
             }
@@ -657,12 +651,27 @@ impl SocService {
         if chk.fingerprint != fingerprint {
             return Err(RestoreError::ConfigMismatch);
         }
+        // A configured loop exists from the first epoch's start on, so
+        // only the epoch-0 boundary may lack its snapshot; a snapshot
+        // without a configured loop has nothing to restore into.
+        let intel = match (&cfg.pipeline.intel, &chk.intel) {
+            (Some(icfg), Some(snap)) => {
+                Some(IntelLoop::restore(icfg, &cfg.pipeline.deployment, snap))
+            }
+            (None, None) => None,
+            (Some(_), None) if chk.epoch == 0 && chk.watermark.is_none() => None,
+            _ => {
+                return Err(RestoreError::Malformed(
+                    "intel snapshot does not match the configured intel loop".into(),
+                ))
+            }
+        };
         let mut svc = SocService {
             cfg,
             fingerprint,
             epoch: chk.epoch,
             clock: SimTime(chk.clock_us),
-            intel: chk.intel.as_ref().map(IntelLoop::restore),
+            intel,
             report: chk.report,
             ground_truth: chk.ground_truth,
             stats: chk.stats,
@@ -703,7 +712,7 @@ impl SocService {
             // once and persists — signatures keep accumulating across
             // epochs, which is the point of an always-on service.
             if let Some(icfg) = &self.cfg.pipeline.intel {
-                self.intel = Some(IntelLoop::new(icfg, pipeline.deployment()));
+                self.intel = Some(IntelLoop::new(icfg, &self.cfg.pipeline.deployment));
             }
         }
         // Shift the plan's campaigns onto the global clock: the epoch
@@ -997,25 +1006,28 @@ mod tests {
         );
     }
 
+    /// One decoy, a live intel loop, a per-epoch wave and cadence
+    /// checkpoints every 257 items.
+    fn intel_wave_config() -> ServiceConfig {
+        let mut pcfg = PipelineConfig::small_lab(17);
+        pcfg.deployment.decoys = 1;
+        pcfg.intel = Some(crate::intel::IntelConfig::default());
+        let mut cfg = ServiceConfig::new(pcfg, 17);
+        cfg.checkpoint_items = Some(257);
+        // A per-epoch wave sweeps the decoy, so the intel feed the
+        // resume must carry is non-empty, not vacuously equal.
+        cfg.wave = Some(WaveSpec::default());
+        cfg
+    }
+
     #[test]
     fn mid_epoch_checkpoint_resume_is_alert_identical_with_intel() {
-        let mk_cfg = || {
-            let mut pcfg = PipelineConfig::small_lab(17);
-            pcfg.deployment.decoys = 1;
-            pcfg.intel = Some(crate::intel::IntelConfig::default());
-            let mut cfg = ServiceConfig::new(pcfg, 17);
-            cfg.checkpoint_items = Some(257);
-            // A per-epoch wave sweeps the decoy, so the intel feed the
-            // resume must carry is non-empty, not vacuously equal.
-            cfg.wave = Some(WaveSpec::default());
-            cfg
-        };
         let source = mix(17);
-        let mut all = SocService::new(mk_cfg());
+        let mut all = SocService::new(intel_wave_config());
         all.run_epochs(&source, 3).unwrap();
         // Run one full epoch, then "crash" partway through epoch 1:
         // the latest cadence checkpoint stands in for the crash point.
-        let mut interrupted = SocService::new(mk_cfg());
+        let mut interrupted = SocService::new(intel_wave_config());
         interrupted.run_epochs(&source, 2).unwrap();
         let chk = interrupted
             .last_checkpoint()
@@ -1023,7 +1035,7 @@ mod tests {
             .clone();
         assert!(chk.watermark.is_some());
         drop(interrupted);
-        let mut revived = SocService::restore(mk_cfg(), &chk.to_json()).unwrap();
+        let mut revived = SocService::restore(intel_wave_config(), &chk.to_json()).unwrap();
         assert_eq!(revived.epoch(), 1);
         let summaries = revived.run_epochs(&source, 2).unwrap();
         assert!(summaries[0].verified_resume, "{summaries:?}");
@@ -1061,14 +1073,16 @@ mod tests {
             Err(RestoreError::ChecksumMismatch)
         ));
 
-        // Future format version → version error (re-sealed so the
-        // checksum passes and the version check is what fires).
-        let mut future = svc.checkpoint();
-        future.version = CHECKPOINT_VERSION + 1;
-        assert!(matches!(
-            ServiceCheckpoint::from_json(&future.to_json()),
-            Err(RestoreError::Version { found }) if found == CHECKPOINT_VERSION + 1
-        ));
+        // Past or future format version → version error (re-sealed so
+        // the checksum passes and the version check is what fires).
+        for version in [2, CHECKPOINT_VERSION + 1] {
+            let mut other = svc.checkpoint();
+            other.version = version;
+            assert!(matches!(
+                ServiceCheckpoint::from_json(&other.to_json()),
+                Err(RestoreError::Version { found }) if found == version
+            ));
+        }
 
         // Different config (seed) → fingerprint mismatch at restore.
         assert!(matches!(
@@ -1097,6 +1111,67 @@ mod tests {
             matches!(err, ServiceError::ResumeDiverged { epoch: 0, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn every_watermark_layer_is_verified_on_resume() {
+        let source = mix(17);
+        let mut svc = SocService::new(intel_wave_config());
+        svc.run_epochs(&source, 1).unwrap();
+        let chk = svc.last_checkpoint().expect("cadence checkpoint").clone();
+        // One edit per layer, re-sealed: the digest still matches, so
+        // only that layer's comparison can catch it.
+        type LayerEdit = (&'static str, fn(&mut WatermarkProof));
+        let edits: [LayerEdit; 3] = [
+            ("producer stream", |w| {
+                w.stream.as_mut().unwrap().retired += 1
+            }),
+            ("monitor shard", |w| w.shard.as_mut().unwrap().segments += 1),
+            ("intel loop", |w| w.intel.as_mut().unwrap().captures += 1),
+        ];
+        for (layer, edit) in edits {
+            let mut tampered = chk.clone();
+            edit(tampered.watermark.as_mut().unwrap());
+            let mut revived =
+                SocService::restore(intel_wave_config(), &tampered.to_json()).unwrap();
+            let Err(ServiceError::ResumeDiverged {
+                epoch: 0, detail, ..
+            }) = revived.run_epoch(&source)
+            else {
+                panic!("{layer}: the resume did not diverge in epoch 0");
+            };
+            assert!(detail.contains(layer), "{layer}: {detail}");
+        }
+    }
+
+    #[test]
+    fn intel_snapshot_must_match_the_configured_loop() {
+        let source = mix(17);
+        let mut svc = SocService::new(intel_wave_config());
+        // The loop is created when the first epoch starts, so the
+        // epoch-0 boundary is the one checkpoint that may lack it.
+        let fresh = svc.checkpoint();
+        assert!(fresh.intel.is_none());
+        assert!(SocService::restore(intel_wave_config(), &fresh.to_json()).is_ok());
+        svc.run_epochs(&source, 1).unwrap();
+        // A boundary checkpoint after epoch 0, and a mid-epoch one of
+        // epoch 0, each with the snapshot dropped and re-sealed.
+        let mid = svc.last_checkpoint().expect("cadence checkpoint").clone();
+        assert_eq!((svc.checkpoint().epoch, mid.epoch), (1, 0));
+        for mut chk in [svc.checkpoint(), mid] {
+            assert!(chk.intel.take().is_some());
+            assert!(matches!(
+                SocService::restore(intel_wave_config(), &chk.to_json()),
+                Err(RestoreError::Malformed(_))
+            ));
+        }
+        // A snapshot where no loop is configured.
+        let mut chk = SocService::new(svc_config(17)).checkpoint();
+        chk.intel = svc.checkpoint().intel;
+        assert!(matches!(
+            SocService::restore(svc_config(17), &chk.to_json()),
+            Err(RestoreError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::vfs::Vfs;
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_crypto::sha256::sha256;
-use ja_jupyter_proto::channels::ConnectionInfo;
 use ja_jupyter_proto::session::{CellEffect, CellOutcome, ClientSession, KernelSession};
 use ja_jupyter_proto::wire::WireError;
 
@@ -61,8 +60,6 @@ pub fn message_cipher_seed(conn_seed: &[u8], msg_seq: u64, dir: Direction) -> Ve
 struct KernelEntry {
     kernel: KernelSession,
     pid: Pid,
-    #[allow(dead_code)]
-    conn_info: ConnectionInfo,
 }
 
 /// A browser↔server connection carrying kernel channels over WebSocket.
@@ -210,18 +207,13 @@ impl NotebookServer {
             Some(self.server_pid),
             now,
         );
-        let base_port = 50000 + (idx as u16) * 10;
-        let conn_info = if self.config.hmac_signing {
-            ConnectionInfo::new("127.0.0.1", base_port, self.rng.range(0, u64::MAX))
-        } else {
-            ConnectionInfo::unsigned("127.0.0.1", base_port)
-        };
+        if self.config.hmac_signing {
+            // The draw that once seeded the kernel's connection-file
+            // key; kept so every later draw stays where it was.
+            self.rng.range(0, u64::MAX);
+        }
         let kernel = KernelSession::new(&format!("srv{}-k{}", self.id, idx), &self.signing_key);
-        self.kernels.push(KernelEntry {
-            kernel,
-            pid,
-            conn_info,
-        });
+        self.kernels.push(KernelEntry { kernel, pid });
         idx
     }
 

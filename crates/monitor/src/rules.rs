@@ -95,7 +95,7 @@ pub enum RuleOrigin {
 }
 
 /// One signature rule.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Rule {
     /// Unique rule id.
     pub id: String,
@@ -111,7 +111,7 @@ pub struct Rule {
 
 /// A rule plus the earliest simulated instant a production monitor may
 /// use it (learned-at plus the intel propagation delay).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TimedRule {
     /// When production monitors may start matching with this rule.
     pub available_at: SimTime,
@@ -142,12 +142,11 @@ impl std::fmt::Debug for FeedInner {
 }
 
 /// Serializable state of a [`RuleFeed`]: every published rule in publish
-/// order plus the generation stamp. Part of the layer-by-layer service
-/// checkpoint contract.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// order. The generation stamp is not stored: it counts successful
+/// publishes, so it is the rule count. Part of the layer-by-layer
+/// service checkpoint contract.
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FeedCheckpoint {
-    /// Feed generation at capture time (== successful publishes).
-    pub epoch: u64,
     /// Published rules with availability times, in publish order.
     pub rules: Vec<TimedRule>,
 }
@@ -214,23 +213,20 @@ impl RuleFeed {
         self.inner.read().expect("rule feed poisoned").rules.clone()
     }
 
-    /// Serializable feed contents + generation stamp, for the service
-    /// checkpoint contract. Unlike [`RuleFeed::snapshot`] this also
-    /// carries the epoch, so a restored feed keeps the exact generation
-    /// semantics ([`RuleFeed::is_empty`] is `epoch() == 0`, and
-    /// [`crate::matcher::FeedCache`] keys compiled snapshots on it).
+    /// Serializable feed contents, for the service checkpoint contract.
     pub fn checkpoint(&self) -> FeedCheckpoint {
-        let inner = self.inner.read().expect("rule feed poisoned");
         FeedCheckpoint {
-            epoch: self.epoch(),
-            rules: inner.rules.clone(),
+            rules: self.snapshot(),
         }
     }
 
     /// Rebuild a feed from a [`RuleFeed::checkpoint`]: same rules in the
-    /// same publish order, id index reconstructed, epoch restored — so
-    /// subscribers attached to the restored feed compile exactly the
-    /// snapshot subscribers of the original would have.
+    /// same publish order, id index reconstructed, epoch set to the rule
+    /// count — the generation the original reached, since only a
+    /// successful publish moves it. Subscribers attached to the
+    /// restored feed therefore compile exactly the snapshot subscribers
+    /// of the original would have ([`crate::matcher::FeedCache`] keys
+    /// compiled snapshots on the epoch).
     pub fn restore(cp: &FeedCheckpoint) -> Self {
         let feed = RuleFeed::new();
         {
@@ -240,7 +236,7 @@ impl RuleFeed {
                 inner.rules.push(tr.clone());
             }
         }
-        feed.epoch.store(cp.epoch, Ordering::Release);
+        feed.epoch.store(cp.rules.len() as u64, Ordering::Release);
         feed
     }
 

@@ -26,8 +26,9 @@
 //!   flow reassembly, protocol analyzers, behavioural detectors, rules.
 //! - [`audit`] — the paper's proposed *Jupyter kernel auditing tool*:
 //!   embedded tracer, ring buffer, provenance graph, audit detectors.
-//! - [`honeypot`] — the edge honeypot fleet that learns attack signatures
-//!   before they reach production instances.
+//! - [`honeypot`] — the edge honeypot intel loop that learns attack
+//!   signatures before they reach production instances (an alias of
+//!   `core::intel`).
 //! - [`core`] — the attack taxonomy (Fig. 1), the OSCRP risk model
 //!   (Fig. 3), the classification engine, the unified pipeline, reports,
 //!   and the open dataset schema.
@@ -54,8 +55,8 @@
 pub use ja_attackgen as attackgen;
 pub use ja_audit as audit;
 pub use ja_core as core;
+pub use ja_core::intel as honeypot;
 pub use ja_crypto as crypto;
-pub use ja_honeypot as honeypot;
 pub use ja_jupyter_proto as jupyter_proto;
 pub use ja_kernelsim as kernelsim;
 pub use ja_monitor as monitor;

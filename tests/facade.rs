@@ -60,9 +60,9 @@ fn every_reexport_resolves() {
     let ring = audit::ring::RingBuffer::<u64>::new(16);
     assert_eq!(ring.len(), 0);
 
-    // honeypot: a fresh decoy has captured nothing.
-    let decoy = honeypot::decoy::Decoy::new(1, 0.9);
-    assert!(decoy.captures.is_empty());
+    // honeypot: a fully realistic decoy is never fingerprinted.
+    let mut rng = netsim::rng::SimRng::new(1);
+    assert!(!honeypot::fingerprinted(1.0, 1.0, &mut rng));
 
     // core: the pipeline from the crate-level doctest runs end to end,
     // and the fleet runner aggregates it.
