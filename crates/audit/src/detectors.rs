@@ -347,4 +347,48 @@ mod tests {
         assert_eq!(a.server_id, Some(0));
         assert!(a.user.is_some());
     }
+
+    /// Archive and ciphertext file samples read as ciphertext-like to the
+    /// ransomware rule whatever the seed, though they come from `SimRng`
+    /// rather than a cipher.
+    #[test]
+    fn random_file_samples_clear_the_high_entropy_floor() {
+        use ja_crypto::entropy::ByteStats;
+        use ja_kernelsim::vfs::{generate_sample, ContentKind};
+        use ja_netsim::rng::SimRng;
+        let floor = AuditThresholds::default().high_entropy_bits;
+        for seed in 0..256 {
+            let mut rng = SimRng::new(seed);
+            for kind in [ContentKind::Archive, ContentKind::Encrypted] {
+                let bits = ByteStats::from_bytes(&generate_sample(kind, &mut rng)).shannon_bits();
+                assert!(bits >= floor, "{kind:?} seed {seed}: {bits}");
+            }
+        }
+    }
+
+    /// High-entropy payloads clear the same floor at every length of
+    /// 1 KiB or more a campaign sends: the 40,960-byte zero-day flush,
+    /// the 64 KiB cap every larger transfer is cut to, and the powers of
+    /// two between 1 KiB and the cap. The 256-byte ransomware key exfil
+    /// (and the 180-byte DNS and 90-byte pool messages) are left out: a
+    /// plug-in estimate over so few bytes sits near 7.2 even for uniform
+    /// bytes, so it is no fair floor there.
+    #[test]
+    fn high_entropy_payloads_clear_the_floor() {
+        use ja_crypto::entropy::ByteStats;
+        use ja_kernelsim::{NotebookServer, ServerConfig};
+        let floor = AuditThresholds::default().high_entropy_bits;
+        let lengths = (10..=16).map(|k| 1u64 << k).chain([40_960, 2_000_000]);
+        for seed in 0..8 {
+            let srv = NotebookServer::new(seed as u32, ServerConfig::hardened(), seed);
+            for bytes in lengths.clone() {
+                for t in [0, 1, 3_600_000_007].map(SimTime) {
+                    let payload = srv.gen_payload(bytes, true, t);
+                    assert_eq!(payload.len() as u64, bytes.min(64 * 1024));
+                    let bits = ByteStats::from_bytes(&payload).shannon_bits();
+                    assert!(bits >= floor, "seed {seed} len {bytes}: {bits}");
+                }
+            }
+        }
+    }
 }

@@ -8,6 +8,10 @@
 //! 2. **Ransomware payloads** — the ransomware campaign encrypts victim
 //!    files through this cipher, so file contents really do jump to
 //!    ~8 bits/byte entropy, which is what the ransomware detector keys on.
+//!
+//! It is not the simulators' random-byte source: bytes that only need to
+//! look random (high-entropy payloads, archive and ciphertext file
+//! samples) come from `SimRng`, which costs a fraction of a keystream.
 
 /// ChaCha20 stream cipher instance (keyed, nonce'd, seekable by block).
 #[derive(Clone)]
@@ -15,7 +19,7 @@ pub struct ChaCha20 {
     key: [u32; 8],
     nonce: [u32; 3],
     counter: u32,
-    /// Remaining bytes of the current keystream block.
+    /// The current keystream block; `block[block_pos..]` is unused.
     block: [u8; 64],
     block_pos: usize,
 }
@@ -74,8 +78,8 @@ impl ChaCha20 {
         Self::new(&key, &nonce, 0)
     }
 
-    /// Generate the keystream block for the current counter.
-    fn refill(&mut self) {
+    /// The keystream block for the current counter; advances the counter.
+    fn next_block(&mut self) -> [u8; 64] {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.key);
@@ -94,22 +98,33 @@ impl ChaCha20 {
             quarter_round(&mut w, 2, 7, 8, 13);
             quarter_round(&mut w, 3, 4, 9, 14);
         }
-        for i in 0..16 {
-            let word = w[i].wrapping_add(state[i]);
-            self.block[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        let mut block = [0u8; 64];
+        for (i, out) in block.chunks_exact_mut(4).enumerate() {
+            out.copy_from_slice(&w[i].wrapping_add(state[i]).to_le_bytes());
         }
         self.counter = self.counter.wrapping_add(1);
-        self.block_pos = 0;
+        block
     }
 
     /// XOR `data` in place with the keystream (encryption == decryption).
+    ///
+    /// Finishes the partly used block first, then XORs whole blocks
+    /// straight from the block function, then keeps the block the tail
+    /// starts so the next call resumes mid-block.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.block_pos == 64 {
-                self.refill();
-            }
-            *byte ^= self.block[self.block_pos];
-            self.block_pos += 1;
+        let head_len = data.len().min(64 - self.block_pos);
+        let (head, rest) = data.split_at_mut(head_len);
+        xor(head, &self.block[self.block_pos..]);
+        self.block_pos += head_len;
+        let mut blocks = rest.chunks_exact_mut(64);
+        for chunk in &mut blocks {
+            xor(chunk, &self.next_block());
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.block = self.next_block();
+            xor(tail, &self.block);
+            self.block_pos = tail.len();
         }
     }
 
@@ -119,12 +134,13 @@ impl ChaCha20 {
         self.apply(&mut out);
         out
     }
+}
 
-    /// Produce `n` raw keystream bytes.
-    pub fn keystream(&mut self, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n];
-        self.apply(&mut out);
-        out
+/// `data[i] ^= keystream[i]` over the shorter of the two.
+#[inline(always)]
+fn xor(data: &mut [u8], keystream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(keystream) {
+        *d ^= k;
     }
 }
 
@@ -143,7 +159,7 @@ mod tests {
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&nonce_bytes);
         let mut c = ChaCha20::new(&k, &nonce, 1);
-        let ks = c.keystream(64);
+        let ks = c.encrypt(&[0; 64]);
         assert_eq!(
             hex::encode(&ks),
             "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
@@ -151,25 +167,46 @@ d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
         );
     }
 
-    /// RFC 8439 §2.4.2 encryption test vector.
-    #[test]
-    fn rfc8439_encrypt_vector() {
-        let key: Vec<u8> = (0u8..32).collect();
-        let mut k = [0u8; 32];
-        k.copy_from_slice(&key);
+    /// RFC 8439 §2.4.2: key 00..1f, nonce, counter 1, plaintext, ciphertext.
+    fn rfc8439_2_4_2() -> (ChaCha20, &'static [u8], &'static str) {
+        let mut key = [0u8; 32];
+        key.iter_mut().zip(0u8..).for_each(|(b, i)| *b = i);
         let nonce_bytes = hex::decode("000000000000004a00000000").unwrap();
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&nonce_bytes);
-        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
-        let mut c = ChaCha20::new(&k, &nonce, 1);
-        let ct = c.encrypt(plaintext);
-        assert_eq!(
-            hex::encode(&ct),
+        (
+            ChaCha20::new(&key, &nonce, 1),
+            b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.",
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
 f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
 07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
-5af90bbf74a35be6b40b8eedf2785e42874d"
-        );
+5af90bbf74a35be6b40b8eedf2785e42874d",
+        )
+    }
+
+    /// RFC 8439 §2.4.2 encryption test vector.
+    #[test]
+    fn rfc8439_encrypt_vector() {
+        let (mut c, plaintext, want) = rfc8439_2_4_2();
+        assert_eq!(hex::encode(&c.encrypt(plaintext)), want);
+    }
+
+    /// The §2.4.2 vector fed in pieces reaches the known answer through
+    /// every path of `apply`: 7 | 64 | rest runs tail, then head + tail,
+    /// then head; 64 | 7 | rest runs a whole block, then tail, then head;
+    /// 0 | 0 | all runs two empty calls, then a whole block + tail.
+    #[test]
+    fn rfc8439_encrypt_vector_in_pieces() {
+        for [first, second] in [[7, 64], [64, 7], [0, 0]] {
+            let (mut c, plaintext, want) = rfc8439_2_4_2();
+            let mut data = plaintext.to_vec();
+            let (a, rest) = data.split_at_mut(first);
+            let (b, rest) = rest.split_at_mut(second);
+            c.apply(a);
+            c.apply(b);
+            c.apply(rest);
+            assert_eq!(hex::encode(&data), want, "pieces {first} | {second}");
+        }
     }
 
     #[test]
@@ -186,15 +223,15 @@ f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
     #[test]
     fn keystream_is_high_entropy() {
         let mut c = ChaCha20::from_seed(b"entropy-check");
-        let ks = c.keystream(65536);
+        let ks = c.encrypt(&[0; 65536]);
         let stats = crate::entropy::ByteStats::from_bytes(&ks);
         assert!(stats.shannon_bits() > 7.9, "got {}", stats.shannon_bits());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = ChaCha20::from_seed(b"a").keystream(32);
-        let b = ChaCha20::from_seed(b"b").keystream(32);
+        let a = ChaCha20::from_seed(b"a").encrypt(&[0; 32]);
+        let b = ChaCha20::from_seed(b"b").encrypt(&[0; 32]);
         assert_ne!(a, b);
     }
 

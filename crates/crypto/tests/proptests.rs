@@ -92,6 +92,28 @@ proptest! {
         prop_assert_eq!(pt, msg);
     }
 
+    /// `apply` over any split of the data (empty pieces and pieces that
+    /// start partway through a block included) equals one call: the
+    /// sensor decrypts flows in chunks of whatever size the wire gives it.
+    #[test]
+    fn chacha_apply_split_points_equal_one_call(
+        seed in proptest::collection::vec(any::<u8>(), 1..64),
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        cuts in proptest::collection::vec(0usize..4096, 0..8)) {
+        let want = ChaCha20::from_seed(&seed).encrypt(&data);
+        let mut points: Vec<usize> = cuts.iter().map(|&c| c % (data.len() + 1)).collect();
+        points.sort_unstable();
+        points.push(data.len());
+        let mut c = ChaCha20::from_seed(&seed);
+        let mut got = data.clone();
+        let mut prev = 0;
+        for &p in &points {
+            c.apply(&mut got[prev..p]);
+            prev = p;
+        }
+        prop_assert_eq!(got, want);
+    }
+
     /// Entropy is bounded by [0, 8] bits and merge matches concatenation.
     #[test]
     fn entropy_bounds_and_merge(a in proptest::collection::vec(any::<u8>(), 0..2048),

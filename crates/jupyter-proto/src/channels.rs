@@ -1,10 +1,8 @@
-//! The five kernel sockets and the connection file.
+//! The five kernel sockets.
 //!
 //! "Jupyter listens on several ports `shell_port`, `iopub_port`,
 //! `control_port`, `hb_port` using TCP transport with HMAC-SHA256
-//! signature" (§II). The connection file is the root of trust for message
-//! signing — leaking it (world-readable runtime dir) is one of the
-//! misconfigurations experiment E8 scans for.
+//! signature" (§II).
 
 use serde::{Deserialize, Serialize};
 
@@ -58,130 +56,9 @@ impl Channel {
     }
 }
 
-/// The signature scheme field of the connection file. Jupyter ships
-/// `hmac-sha256`; an empty key disables signing entirely (a
-/// misconfiguration the paper's threat model flags).
-pub const SIGNATURE_SCHEME: &str = "hmac-sha256";
-
-/// A kernel connection file (`kernel-<id>.json`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConnectionInfo {
-    /// `tcp` in our simulation.
-    pub transport: String,
-    /// Bind address.
-    pub ip: String,
-    /// Shell channel port.
-    pub shell_port: u16,
-    /// IOPub channel port.
-    pub iopub_port: u16,
-    /// Control channel port.
-    pub control_port: u16,
-    /// Stdin channel port.
-    pub stdin_port: u16,
-    /// Heartbeat channel port.
-    pub hb_port: u16,
-    /// Signing key (hex). Empty string disables signing.
-    pub key: String,
-    /// `hmac-sha256` or empty.
-    pub signature_scheme: String,
-}
-
-impl ConnectionInfo {
-    /// Build a connection file with consecutive ports from `base_port`
-    /// and a key derived from `key_seed` (deterministic for simulation).
-    pub fn new(ip: &str, base_port: u16, key_seed: u64) -> Self {
-        let key = ja_crypto::sha256::sha256_hex(&key_seed.to_le_bytes());
-        ConnectionInfo {
-            transport: "tcp".into(),
-            ip: ip.into(),
-            shell_port: base_port,
-            iopub_port: base_port + 1,
-            control_port: base_port + 2,
-            stdin_port: base_port + 3,
-            hb_port: base_port + 4,
-            key,
-            signature_scheme: SIGNATURE_SCHEME.into(),
-        }
-    }
-
-    /// A connection file with signing disabled (misconfiguration).
-    pub fn unsigned(ip: &str, base_port: u16) -> Self {
-        let mut c = Self::new(ip, base_port, 0);
-        c.key = String::new();
-        c.signature_scheme = String::new();
-        c
-    }
-
-    /// Port assigned to a channel.
-    pub fn port(&self, ch: Channel) -> u16 {
-        match ch {
-            Channel::Shell => self.shell_port,
-            Channel::IoPub => self.iopub_port,
-            Channel::Control => self.control_port,
-            Channel::Stdin => self.stdin_port,
-            Channel::Heartbeat => self.hb_port,
-        }
-    }
-
-    /// Reverse lookup: which channel owns `port`?
-    pub fn channel_of(&self, port: u16) -> Option<Channel> {
-        Channel::ALL.iter().copied().find(|&c| self.port(c) == port)
-    }
-
-    /// Key bytes for signing (empty when signing is disabled).
-    pub fn key_bytes(&self) -> Vec<u8> {
-        ja_crypto::hex::decode(&self.key).unwrap_or_default()
-    }
-
-    /// Is message signing enabled?
-    pub fn signing_enabled(&self) -> bool {
-        !self.key.is_empty() && self.signature_scheme == SIGNATURE_SCHEME
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ports_are_consecutive_and_distinct() {
-        let c = ConnectionInfo::new("127.0.0.1", 50000, 7);
-        let ports: Vec<u16> = Channel::ALL.iter().map(|&ch| c.port(ch)).collect();
-        assert_eq!(ports, vec![50000, 50001, 50002, 50003, 50004]);
-        for &ch in &Channel::ALL {
-            assert_eq!(c.channel_of(c.port(ch)), Some(ch));
-        }
-        assert_eq!(c.channel_of(9999), None);
-    }
-
-    #[test]
-    fn key_derivation_deterministic() {
-        let a = ConnectionInfo::new("h", 1, 42);
-        let b = ConnectionInfo::new("h", 1, 42);
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.key_bytes().len(), 32);
-        assert!(a.signing_enabled());
-        let c = ConnectionInfo::new("h", 1, 43);
-        assert_ne!(a.key, c.key);
-    }
-
-    #[test]
-    fn unsigned_config_detected() {
-        let c = ConnectionInfo::unsigned("h", 1);
-        assert!(!c.signing_enabled());
-        assert!(c.key_bytes().is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip_matches_connection_file_shape() {
-        let c = ConnectionInfo::new("127.0.0.1", 50000, 1);
-        let text = serde_json::to_string(&c).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v["signature_scheme"], "hmac-sha256");
-        assert_eq!(v["shell_port"], 50000);
-        let back: ConnectionInfo = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, c);
-    }
 
     #[test]
     fn channel_names_round_trip() {

@@ -12,8 +12,7 @@
 //! - [`messages`] — typed headers and message contents for the REPL
 //!   message families (`execute_request`, `status`, `stream`, …).
 //! - [`channels`] — the five sockets (`shell`, `iopub`, `control`,
-//!   `stdin`, `hb`) and the connection file that names their ports and
-//!   carries the signing key.
+//!   `stdin`, `hb`).
 //! - [`session`] — the two-process REPL model of Fig. 2: a kernel-side
 //!   state machine that turns an `execute_request` into the canonical
 //!   busy → input → output → idle → reply sequence, and a validator the
@@ -32,7 +31,7 @@ pub mod nbformat;
 pub mod session;
 pub mod wire;
 
-pub use channels::{Channel, ConnectionInfo};
+pub use channels::Channel;
 pub use messages::{Header, MsgType};
 pub use nbformat::{Cell, Notebook};
 pub use session::{CellOutcome, ClientSession};

@@ -22,7 +22,7 @@ use ja_jupyter_proto::wire::WireError;
 use ja_netsim::addr::{HostAddr, HostId};
 use ja_netsim::flow::FlowId;
 use ja_netsim::network::Network;
-use ja_netsim::rng::SimRng;
+use ja_netsim::rng::{split_seed, SimRng};
 use ja_netsim::segment::Direction;
 use ja_netsim::time::{Duration, SimTime};
 use ja_websocket::codec::fragment;
@@ -576,15 +576,26 @@ impl NotebookServer {
         (effect, t)
     }
 
-    /// Generate an outbound payload. Actual bytes are capped (large
-    /// transfers are represented by a capped sample with the true size
-    /// recorded in flow accounting via repeated sends).
-    fn gen_payload(&mut self, bytes: u64, entropy_high: bool, t: SimTime) -> Vec<u8> {
+    /// Generate a payload of `bytes` for a transfer starting at `t`.
+    /// Actual bytes are capped at 64 KiB (large transfers are represented
+    /// by a capped sample with the true size recorded in flow accounting
+    /// via repeated sends). High-entropy payloads are random bytes from a
+    /// `SimRng` seeded by this server's transport secret and `t`, so they
+    /// draw nothing from the server's own generator.
+    pub fn gen_payload(&self, bytes: u64, entropy_high: bool, t: SimTime) -> Vec<u8> {
         let len = bytes.min(64 * 1024) as usize;
         if entropy_high {
-            let mut seed = self.transport_secret.clone();
-            seed.extend_from_slice(&t.as_micros().to_le_bytes());
-            ChaCha20::from_seed(&seed).keystream(len)
+            let seed = self
+                .transport_secret
+                .chunks(8)
+                .fold(t.as_micros(), |acc, word| {
+                    let mut le = [0u8; 8];
+                    le[..word.len()].copy_from_slice(word);
+                    split_seed(acc, u64::from_le_bytes(le))
+                });
+            let mut out = vec![0u8; len];
+            SimRng::new(seed).fill_bytes(&mut out);
+            out
         } else {
             b"GET /telemetry?value=0.173&run=12 HTTP/1.1\r\nHost: data.example\r\n\r\n"
                 .iter()
@@ -880,6 +891,27 @@ mod tests {
             .sys_events
             .iter()
             .any(|e| matches!(e.kind, SysEventKind::NetSend { dst_port: 443, .. })));
+    }
+
+    #[test]
+    fn gen_payload_depends_only_on_server_and_time() {
+        let (mut srv, mut net) = boot(ServerConfig::hardened());
+        let t = SimTime::from_secs(7);
+        let first = srv.gen_payload(4096, true, t);
+        // Running a session in between moves nothing.
+        let mut conn = srv.connect(&mut net, SimTime::ZERO, client_addr(), "alice", 0);
+        let script = CellScript::new("x = 1", vec![Action::Print { text: "1".into() }]);
+        srv.run_cell(&mut net, SimTime::from_secs(1), &mut conn, &script);
+        assert_eq!(srv.gen_payload(4096, true, t), first);
+        assert_eq!(
+            boot(ServerConfig::hardened()).0.gen_payload(4096, true, t),
+            first
+        );
+        // A shorter transfer at the same time is a prefix.
+        assert_eq!(srv.gen_payload(100, true, t), first[..100]);
+        assert_ne!(srv.gen_payload(4096, true, SimTime(t.0 + 1)), first);
+        let other = NotebookServer::new(1, ServerConfig::hardened(), 43);
+        assert_ne!(other.gen_payload(4096, true, t), first);
     }
 
     #[test]

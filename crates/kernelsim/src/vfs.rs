@@ -6,6 +6,10 @@
 //! nominal size), generated deterministically per content kind, so the
 //! detectors compute genuine statistics rather than reading a label.
 //!
+//! Archive and ciphertext samples only need to look random, so they come
+//! from a child `SimRng`, not a cipher keystream; the real cipher is kept
+//! for [`Vfs::encrypt_in_place`], the ransomware primitive.
+//!
 //! CSV samples are written line by line straight into the sample buffer
 //! by an exact fixed-point writer that produces the bytes of `{:.4}`:
 //! it rounds each value's exact binary expansion half-to-even in integer
@@ -13,7 +17,7 @@
 
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
-use ja_netsim::rng::SimRng;
+use ja_netsim::rng::{split_seed, SimRng};
 use ja_netsim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -71,9 +75,15 @@ pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
             out
         }
         ContentKind::Archive | ContentKind::Encrypted => {
+            // The sample's only draw from `rng` is a 16-byte seed, so its
+            // length moves no later draw; the bytes come from a child.
             let mut seed = [0u8; 16];
             rng.fill_bytes(&mut seed);
-            ChaCha20::from_seed(&seed).keystream(SAMPLE_LEN)
+            let (a, b) = seed.split_at(8);
+            let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+            let mut out = vec![0u8; SAMPLE_LEN];
+            SimRng::new(split_seed(word(a), word(b))).fill_bytes(&mut out);
+            out
         }
     }
 }
