@@ -1,17 +1,20 @@
 //! Substrate microbenchmarks. A3: per-message HMAC cost in the wire
-//! path, which signs every message, plus SHA-256 and ChaCha20
-//! throughput. A2: audit ring-buffer push/drain throughput vs capacity,
-//! the in-kernel budget of the embedded tracer. E7 (throughput leg): how
+//! path, which signs every message with a clone of the session's keyed
+//! MAC, plus SHA-256 and ChaCha20 throughput (ChaCha20 also over 448 B
+//! writes through one cipher, the size of a mean transport write). A2:
+//! audit ring-buffer push/drain throughput vs capacity, the in-kernel
+//! budget of the embedded tracer. E7 (throughput leg): how
 //! fast the Zeek-style streaming WebSocket decoder chews through frame
 //! streams of varying message sizes and fragmentation.
 //!
 //! Each case runs a fixed batch of iterations, best of `reps`, and
 //! prints ns/iter with MB/s (Melem/s for the ring). Timings only: no
 //! gate is asserted. `--tiny` shrinks the sizes and the repetitions.
+//! The banner names the SHA-256 and ChaCha20 backends this CPU runs.
 
 use ja_audit::ring::RingBuffer;
 use ja_crypto::chacha::ChaCha20;
-use ja_crypto::hmac::hmac_sha256;
+use ja_crypto::hmac::HmacSha256;
 use ja_crypto::sha256::sha256;
 use ja_websocket::codec::{fragment, FrameDecoder, MessageAssembler};
 use ja_websocket::frame::Opcode;
@@ -67,9 +70,16 @@ fn main() {
     let tiny = ja_bench::Args::from_env().tiny;
     let (reps, budget) = if tiny { (1, 1 << 20) } else { (3, 16 << 20) };
     let t = Timer { reps, budget };
-    println!("=== micro_substrate: A3 crypto, A2 ring, E7 WebSocket parse ===\n");
+    println!("=== micro_substrate: A3 crypto, A2 ring, E7 WebSocket parse ===");
+    println!(
+        "backends: sha256 {}, chacha20 {}\n",
+        ja_crypto::sha256::backend(),
+        ja_crypto::chacha::backend()
+    );
 
-    let key = b"jupyter-session-signing-key";
+    // Keyed once per session and cloned per message, as the wire layer
+    // signs.
+    let session = HmacSha256::new(b"jupyter-session-signing-key");
     let sizes: &[usize] = if tiny {
         &[64, 1024]
     } else {
@@ -79,7 +89,9 @@ fn main() {
         let msg = vec![0xabu8; size];
         let name = format!("a3_hmac_per_message/{size}");
         t.run(&name, Work::Bytes(size), || {
-            hmac_sha256(key, black_box(&msg))
+            let mut mac = black_box(&session).clone();
+            mac.update(black_box(&msg));
+            mac.finalize()
         });
     }
     let block = if tiny { 4 << 10 } else { 64 << 10 };
@@ -94,6 +106,12 @@ fn main() {
         Work::Bytes(block),
         || ChaCha20::from_seed(b"bench").encrypt(black_box(&data)),
     );
+    // One connection's cipher over a run of mean-sized transport writes.
+    let mut cipher = ChaCha20::from_seed(b"bench");
+    let mut write = [0u8; 448];
+    t.run("chacha20/encrypt_448B", Work::Bytes(write.len()), || {
+        cipher.apply(black_box(&mut write))
+    });
 
     let events = if tiny { 10_000 } else { 100_000 };
     let capacities: &[usize] = if tiny {

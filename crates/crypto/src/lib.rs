@@ -28,8 +28,24 @@
 //! it exists so the simulated Jupyter stack has *real* message signing
 //! and *measurable* encryption behaviour with zero external
 //! dependencies.
+//!
+//! ## Backends
+//!
+//! SHA-256 and ChaCha20 run on every byte the simulator sends and the
+//! monitor inspects, so each has a hardware kernel beside its scalar
+//! code: SHA-NI compression over a run of whole blocks, and an AVX2
+//! ChaCha20 block function that makes 8 blocks at once. The kernels live
+//! in one private x86-64 module, are picked from the CPU on first use
+//! (`is_x86_feature_detected!`, no option or feature flag), and give
+//! bit-identical output; [`sha256::backend`] and [`chacha::backend`]
+//! name the choice. The scalar code runs on other CPUs and
+//! architectures and is the oracle the kernels are tested against.
+//! `unsafe` is denied crate-wide and allowed only in that module: at a
+//! kernel call right after its feature check, and at unaligned loads and
+//! stores of fixed-size arrays, each with a `// SAFETY:` comment.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod chacha;
@@ -40,6 +56,9 @@ pub mod keys;
 pub mod pqc;
 pub mod sha1;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 pub use chacha::ChaCha20;
 pub use entropy::ByteStats;

@@ -3,6 +3,15 @@
 //! A streaming implementation: feed bytes with [`Sha256::update`], read the
 //! digest with [`Sha256::finalize`]. The one-shot [`sha256`] helper covers
 //! the common case.
+//!
+//! Two compression backends give bit-identical digests: on x86-64 CPUs
+//! with the SHA extensions, a SHA-NI kernel (the crate's `x86` module,
+//! the only place `unsafe` is allowed); everywhere else, the scalar code
+//! here, which is also the oracle the kernel is tested against. The
+//! backend is picked from the CPU on first use; [`backend`] names it.
+//! `update` and `finalize` hand every whole block of one call to one
+//! backend call, so the kernel loads and stores the state once per run
+//! of blocks.
 
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -11,7 +20,7 @@ pub const BLOCK_LEN: usize = 64;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -68,29 +77,19 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
-            let need = BLOCK_LEN - self.buf_len;
-            let take = need.min(rest.len());
+            let take = (BLOCK_LEN - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            } else {
+            if self.buf_len < BLOCK_LEN {
                 // Input exhausted without completing a block.
-                debug_assert!(rest.is_empty());
                 return self;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(BLOCK_LEN);
-        for block in &mut chunks {
-            // chunks_exact guarantees BLOCK_LEN bytes.
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let tail = chunks.remainder();
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % BLOCK_LEN);
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
         self
@@ -98,73 +97,89 @@ impl Sha256 {
 
     /// Finish the hash and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        self.update(&pad[..pad_len]);
-        debug_assert_eq!(self.buf_len, 56);
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        // Manual tail write: update() would re-add to total_len, which is
-        // harmless after capture, but go through it for simplicity.
-        self.update(&len_bytes);
-        debug_assert_eq!(self.buf_len, 0);
+        // The buffered tail, 0x80, zeros, then the 64-bit big-endian bit
+        // length: one block, or two when the tail leaves no room for the
+        // length.
+        let tail = self.buf_len;
+        let end = if tail < 56 { BLOCK_LEN } else { 2 * BLOCK_LEN };
+        let mut last = [0u8; 2 * BLOCK_LEN];
+        last[..tail].copy_from_slice(&self.buf[..tail]);
+        last[tail] = 0x80;
+        last[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &last[..end]);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// One compression round over a single 64-byte block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The compression backend this CPU runs: `"sha-ni"` or `"scalar"`.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::has_sha_ni() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// Compress every block of `blocks` (a whole number of them) into
+/// `state`, with SHA-NI when the CPU has it.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    if blocks.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::sha256_blocks(state, blocks) {
+        return;
+    }
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        compress(
+            state,
+            block.try_into().expect("chunks_exact yields whole blocks"),
+        );
+    }
+}
+
+/// The scalar compression of one 64-byte block.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -273,5 +288,28 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn distinct_inputs_distinct_digests() {
         assert_ne!(sha256(b"message a"), sha256(b"message b"));
         assert_ne!(sha256(b"\x00"), sha256(b""));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest::proptest! {
+        /// The SHA-NI kernel equals the scalar compression over arbitrary
+        /// states and runs of 1 to 8 blocks.
+        #[test]
+        fn sha_ni_equals_scalar(state in proptest::prelude::any::<[u32; 8]>(),
+                                data in proptest::prelude::any::<[u8; 8 * BLOCK_LEN]>(),
+                                blocks in 1usize..9) {
+            if !crate::x86::has_sha_ni() {
+                println!("sha_ni_equals_scalar skipped: this CPU lacks SHA-NI");
+                return;
+            }
+            let data = &data[..blocks * BLOCK_LEN];
+            let mut want = state;
+            for block in data.chunks_exact(BLOCK_LEN) {
+                compress(&mut want, block.try_into().unwrap());
+            }
+            let mut got = state;
+            assert!(crate::x86::sha256_blocks(&mut got, data));
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }
