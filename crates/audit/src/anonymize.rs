@@ -8,25 +8,32 @@
 //! volumes, timings) preserved — what detection research needs, without
 //! identities.
 
+use ja_crypto::hmac::HmacSha256;
 use ja_kernelsim::events::{SysEvent, SysEventKind};
 
 /// Keyed pseudonymizer.
+///
+/// It holds the site secret only as a keyed [`HmacSha256`], so `{:?}`
+/// cannot print it and the key schedule runs once, not per identifier.
 #[derive(Clone, Debug)]
 pub struct Anonymizer {
-    key: Vec<u8>,
+    mac: HmacSha256,
 }
 
 impl Anonymizer {
     /// Anonymizer with a site-secret key (same key ⇒ consistent
     /// pseudonyms across exports, enabling longitudinal study).
     pub fn new(key: &[u8]) -> Self {
-        Anonymizer { key: key.to_vec() }
+        Anonymizer {
+            mac: HmacSha256::new(key),
+        }
     }
 
     /// Pseudonym for an identifier: keyed hash, 8 hex chars.
     pub fn pseudonym(&self, ident: &str) -> String {
-        let tag = ja_crypto::hmac::hmac_sha256(&self.key, ident.as_bytes());
-        ja_crypto::hex::encode(&tag[..4])
+        let mut mac = self.mac.clone();
+        mac.update(ident.as_bytes());
+        ja_crypto::hex::encode(&mac.finalize()[..4])
     }
 
     /// Anonymize a path: directories become per-component pseudonyms,
@@ -106,6 +113,31 @@ mod tests {
 
     fn anon() -> Anonymizer {
         Anonymizer::new(b"site-secret")
+    }
+
+    #[test]
+    fn pseudonym_is_the_keyed_hmac_prefix() {
+        let long_key = [7u8; 100];
+        for key in [&b"site-secret"[..], &[], &long_key] {
+            let a = Anonymizer::new(key);
+            for ident in ["alice", "", "/home/bob/data.csv"] {
+                let tag = ja_crypto::hmac::hmac_sha256(key, ident.as_bytes());
+                assert_eq!(a.pseudonym(ident), ja_crypto::hex::encode(&tag[..4]));
+            }
+        }
+    }
+
+    #[test]
+    fn debug_does_not_print_the_key() {
+        let key = b"site-secret-probe";
+        let dbg = format!("{:?}", Anonymizer::new(key));
+        let byte_list = format!("{:?}", key.to_vec());
+        assert!(
+            !dbg.contains(byte_list.trim_matches(|c| c == '[' || c == ']')),
+            "{dbg}"
+        );
+        assert!(!dbg.contains(&ja_crypto::hex::encode(key)), "{dbg}");
+        assert!(!dbg.contains("site-secret-probe"), "{dbg}");
     }
 
     #[test]

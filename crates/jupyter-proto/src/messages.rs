@@ -134,7 +134,9 @@ pub struct Header {
 
 impl Header {
     /// Build a header; `msg_id` is derived deterministically from
-    /// (session, seq).
+    /// (session, seq). Senders write the same header's JSON directly
+    /// with [`header_json`]; this typed form is what that is checked
+    /// against.
     pub fn new(msg_type: MsgType, session: &str, username: &str, seq: u64, sim_us: u64) -> Self {
         let mut seed = session.as_bytes().to_vec();
         seed.extend_from_slice(&seq.to_le_bytes());
@@ -148,6 +150,40 @@ impl Header {
             version: PROTOCOL_VERSION.into(),
         }
     }
+}
+
+/// The JSON of `Header::new(msg_type, session, username, seq, sim_us)`,
+/// byte for byte what `serde_json::to_string` writes for it, written
+/// straight into one `String`: the `msg_id` digest is hashed
+/// incrementally and hex-encoded in place, and no field is built as a
+/// `String` of its own. This is how sessions write every header.
+pub fn header_json(
+    msg_type: MsgType,
+    session: &str,
+    username: &str,
+    seq: u64,
+    sim_us: u64,
+) -> String {
+    use serde::json::{write_int, write_str};
+    let mut digest = ja_crypto::sha256::Sha256::new();
+    digest.update(session.as_bytes()).update(&seq.to_le_bytes());
+    let digest = digest.finalize();
+    // The fixed parts, the two quoted strings and up to 20 date digits.
+    let mut out = String::with_capacity(160 + session.len() + username.len());
+    out.push_str("{\"msg_id\":\"");
+    ja_crypto::hex::encode_into(&digest[..16], &mut out);
+    out.push_str("\",\"session\":");
+    write_str(session, &mut out);
+    out.push_str(",\"username\":");
+    write_str(username, &mut out);
+    out.push_str(",\"date\":\"sim+");
+    write_int(sim_us, &mut out);
+    out.push_str("us\",\"msg_type\":\"");
+    out.push_str(msg_type.name());
+    out.push_str("\",\"version\":\"");
+    out.push_str(PROTOCOL_VERSION);
+    out.push_str("\"}");
+    out
 }
 
 /// Kernel execution state carried by `status` messages.
@@ -310,6 +346,27 @@ mod tests {
         let text = serde_json::to_string(&h).unwrap();
         let back: Header = serde_json::from_str(&text).unwrap();
         assert_eq!(back, h);
+    }
+
+    #[test]
+    fn header_json_equals_serialized_header() {
+        for (msg_type, session, username, seq, sim_us) in [
+            (MsgType::Status, "sess", "bob", 3, 12345),
+            (MsgType::CommOpen, "", "", 0, 0),
+            (
+                MsgType::ExecuteRequest,
+                "s\"q\\\n\u{1}é",
+                "ü\t",
+                u64::MAX,
+                u64::MAX,
+            ),
+        ] {
+            let oracle = Header::new(msg_type, session, username, seq, sim_us);
+            assert_eq!(
+                header_json(msg_type, session, username, seq, sim_us),
+                serde_json::to_string(&oracle).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 
 use crate::channels::Channel;
 use crate::messages::{
-    ErrorContent, ExecuteInputContent, ExecuteReply, ExecuteRequest, ExecuteResultContent,
-    ExecutionState, Header, MsgType, ReplyStatus, StatusContent, StreamContent,
+    header_json, ErrorContent, ExecuteInputContent, ExecuteReply, ExecuteRequest,
+    ExecuteResultContent, ExecutionState, Header, MsgType, ReplyStatus, StatusContent,
+    StreamContent,
 };
 use crate::wire::{WireError, WireMessage};
 use ja_crypto::hmac::HmacSha256;
@@ -138,12 +139,12 @@ impl ClientSession {
 
     /// Produce a signed request message of the given type and content.
     pub fn request(&mut self, msg_type: MsgType, content_json: String, sim_us: u64) -> WireMessage {
-        let header = Header::new(msg_type, &self.session_id, &self.username, self.seq, sim_us);
+        let header = header_json(msg_type, &self.session_id, &self.username, self.seq, sim_us);
         self.seq += 1;
         WireMessage::build(
             self.mac.as_ref(),
             vec![self.session_id.as_bytes().to_vec()],
-            &header,
+            header,
             None,
             content_json,
         )
@@ -271,7 +272,7 @@ impl KernelSession {
         content_json: String,
         sim_us: u64,
     ) -> WireMessage {
-        let header = Header::new(
+        let header = header_json(
             msg_type,
             &self.kernel_session_id,
             &parent.header.username,
@@ -282,7 +283,7 @@ impl KernelSession {
         WireMessage::build(
             self.mac.as_ref(),
             vec![],
-            &header,
+            header,
             Some(&parent.json),
             content_json,
         )

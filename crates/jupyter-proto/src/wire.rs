@@ -17,24 +17,71 @@
 //! There are two views of a message:
 //!
 //! - [`WireMessage`] owns its parts. Kernels and clients build, sign and
-//!   [`WireMessage::encode`] it; `encode` writes each part straight into
-//!   the one output buffer.
+//!   encode it. [`WireMessage::encode_into`] appends the encoding to a
+//!   buffer the caller owns, so a sender can put a frame header in front
+//!   and transform the whole buffer in place;
+//!   [`WireMessage::encoded_len`] says beforehand how long it will be,
+//!   and [`WireMessage::encode`] is `encode_into` on a fresh `Vec`.
 //! - [`WireView`] borrows them from the buffer it was decoded from. It is
 //!   what the sensor decodes every kernel message into: each JSON part is
 //!   a `&str` into the buffer, copied only where `from_utf8_lossy` must
 //!   replace invalid bytes. [`WireMessage::decode`] is this decode plus
 //!   [`WireView::into_owned`].
+//!
+//! Both views read the message type with one borrowing pass over the
+//! header JSON that keeps nothing but the type; it returns exactly what
+//! parsing the header into a [`Header`] and reading its
+//! `msg_type` returns.
 
 use crate::messages::{Header, MsgType};
 use ja_crypto::hmac::{self, HmacSha256};
+use serde::json::Tokenizer;
+use serde::DeError;
 use std::borrow::Cow;
 
+/// The six fields of a header, in declaration order.
+const HEADER_FIELDS: [&str; 6] = [
+    "msg_id", "session", "username", "date", "msg_type", "version",
+];
+
 /// The message type of the header JSON `header`, if it parses as a
-/// [`Header`].
+/// [`Header`]: an object (and nothing after it) whose
+/// first occurrence of each of the six fields is a string, `msg_type` a
+/// known type's name. A repeated field is only checked to be valid
+/// JSON, like any unknown key. Nothing is allocated unless a key or
+/// string value has escapes or the header is rejected.
 fn msg_type_of(header: &str) -> Option<MsgType> {
-    serde_json::from_str::<Header>(header)
-        .ok()
-        .map(|h| h.msg_type)
+    let mut tok = Tokenizer::new(header);
+    if tok.peek() != Some(b'{') {
+        return None;
+    }
+    let mut seen = [false; HEADER_FIELDS.len()];
+    let mut msg_type = None;
+    tok.object(|tok, key| {
+        match HEADER_FIELDS.iter().position(|f| *f == key) {
+            Some(i) if !seen[i] => {
+                seen[i] = true;
+                if tok.peek() != Some(b'"') {
+                    return Err(DeError::custom("expected string"));
+                }
+                let value = tok.string()?;
+                if HEADER_FIELDS[i] == "msg_type" {
+                    msg_type = Some(
+                        MsgType::from_name(&value)
+                            .ok_or_else(|| DeError::custom("unknown MsgType"))?,
+                    );
+                }
+            }
+            _ => tok.skip()?,
+        }
+        Ok(())
+    })
+    .ok()?;
+    tok.finish().ok()?;
+    if seen.contains(&false) {
+        return None;
+    }
+    msg_type
 }
 
 /// The ZMQ delimiter separating routing identities from the payload.
@@ -95,20 +142,22 @@ impl WireMessage {
     /// key schedule is paid once per session rather than per message.
     /// `None` ⇒ unsigned (the misconfigured deployments do this).
     ///
-    /// `parent_header` is the parent's serialized header JSON (`None` ⇒
-    /// `{}`), so a kernel answering one request with several replies
-    /// serializes the request header once.
+    /// `header` is the serialized header JSON (see
+    /// [`crate::messages::header_json`]). `parent_header` is the
+    /// parent's serialized header JSON (`None` ⇒ `{}`), so a kernel
+    /// answering one request with several replies serializes the
+    /// request header once.
     pub fn build(
         mac: Option<&HmacSha256>,
         identities: Vec<Vec<u8>>,
-        header: &Header,
+        header: String,
         parent_header: Option<&str>,
         content_json: String,
     ) -> Self {
         let mut msg = WireMessage {
             identities,
             signature: String::new(),
-            header: serde_json::to_string(header).expect("header serializes"),
+            header,
             parent_header: parent_header.unwrap_or("{}").to_string(),
             metadata: "{}".to_string(),
             content: content_json,
@@ -154,10 +203,10 @@ impl WireMessage {
         msg_type_of(&self.header)
     }
 
-    /// Serialize to the length-prefixed byte stream (see the module
-    /// docs): the identities, the delimiter, the signature, the four
-    /// dicts and the buffers, the exact ZMQ part sequence.
-    pub fn encode(&self) -> Vec<u8> {
+    /// The parts in wire order: the identities, the delimiter, the
+    /// signature, the four dicts and the buffers, the exact ZMQ part
+    /// sequence.
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
         let dicts = [
             DELIMITER,
             self.signature.as_bytes(),
@@ -166,19 +215,33 @@ impl WireMessage {
             self.metadata.as_bytes(),
             self.content.as_bytes(),
         ];
-        let parts = || {
-            self.identities
-                .iter()
-                .map(Vec::as_slice)
-                .chain(dicts)
-                .chain(self.buffers.iter().map(Vec::as_slice))
-        };
-        let mut out = Vec::with_capacity(4 + parts().map(|p| 4 + p.len()).sum::<usize>());
-        out.extend_from_slice(&(parts().count() as u32).to_be_bytes());
-        for p in parts() {
+        self.identities
+            .iter()
+            .map(Vec::as_slice)
+            .chain(dicts)
+            .chain(self.buffers.iter().map(Vec::as_slice))
+    }
+
+    /// Byte length of the length-prefixed encoding.
+    pub fn encoded_len(&self) -> usize {
+        4 + self.parts().map(|p| 4 + p.len()).sum::<usize>()
+    }
+
+    /// Append the length-prefixed encoding (see the module docs) to
+    /// `out`: the part count, then each part's length and bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        out.extend_from_slice(&(self.parts().count() as u32).to_be_bytes());
+        for p in self.parts() {
             out.extend_from_slice(&(p.len() as u32).to_be_bytes());
             out.extend_from_slice(p);
         }
+    }
+
+    /// The length-prefixed encoding in a new buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
     }
 
@@ -315,7 +378,7 @@ impl<'a> WireView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{ExecuteRequest, MsgType};
+    use crate::messages::{header_json, ExecuteRequest, MsgType};
 
     fn key() -> Vec<u8> {
         b"test-signing-key".to_vec()
@@ -327,12 +390,12 @@ mod tests {
     }
 
     fn sample(key: &[u8]) -> WireMessage {
-        let h = Header::new(MsgType::ExecuteRequest, "sess-1", "alice", 0, 100);
+        let h = header_json(MsgType::ExecuteRequest, "sess-1", "alice", 0, 100);
         let content = serde_json::to_string(&ExecuteRequest::new("print(42)")).unwrap();
         WireMessage::build(
             mac(key).as_ref(),
             vec![b"client-7".to_vec()],
-            &h,
+            h,
             None,
             content,
         )
@@ -437,6 +500,11 @@ mod tests {
         let mut m = sample(&key());
         m.buffers.push(vec![0u8; 100]);
         let bytes = m.encode();
+        assert_eq!(bytes.len(), m.encoded_len());
+        let mut appended = b"prefix".to_vec();
+        m.encode_into(&mut appended);
+        assert_eq!(&appended[..6], b"prefix");
+        assert_eq!(&appended[6..], &bytes[..]);
         let (back, used) = WireMessage::decode(&bytes).unwrap().unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(back, m);
@@ -457,11 +525,11 @@ mod tests {
     #[test]
     fn decode_two_messages_back_to_back() {
         let a = sample(&key());
-        let h = Header::new(MsgType::Status, "sess-1", "alice", 1, 200);
+        let h = header_json(MsgType::Status, "sess-1", "alice", 1, 200);
         let b = WireMessage::build(
             mac(&key()).as_ref(),
             vec![],
-            &h,
+            h,
             None,
             "{\"execution_state\":\"busy\"}".into(),
         );

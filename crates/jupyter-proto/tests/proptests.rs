@@ -6,7 +6,7 @@
 
 use ja_crypto::hmac::HmacSha256;
 use ja_jupyter_proto::messages::{
-    CommContent, ErrorContent, ExecuteInputContent, ExecuteReply, ExecuteRequest,
+    header_json, CommContent, ErrorContent, ExecuteInputContent, ExecuteReply, ExecuteRequest,
     ExecuteResultContent, ExecutionState, Header, MsgType, ReplyStatus, StatusContent,
     StreamContent,
 };
@@ -32,10 +32,10 @@ proptest! {
         content in "[ -~]{0,400}",
         ids in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..16), 0..3),
         nbuf in 0usize..3) {
-        let header = Header::new(MsgType::ExecuteRequest, "s", "u", 1, 2);
+        let header = header_json(MsgType::ExecuteRequest, "s", "u", 1, 2);
         let content_json = serde_json::to_string(&serde_json::json!({"code": content})).unwrap();
         let mac = HmacSha256::new(&key);
-        let mut m = WireMessage::build(Some(&mac), ids, &header, None, content_json);
+        let mut m = WireMessage::build(Some(&mac), ids, header, None, content_json);
         for i in 0..nbuf {
             m.buffers.push(vec![i as u8; 10]);
         }
@@ -50,9 +50,9 @@ proptest! {
     #[test]
     fn wire_tamper_detected(key in proptest::collection::vec(any::<u8>(), 1..64),
                             tamper in any::<u8>()) {
-        let header = Header::new(MsgType::ExecuteRequest, "s", "u", 0, 0);
+        let header = header_json(MsgType::ExecuteRequest, "s", "u", 0, 0);
         let mac = HmacSha256::new(&key);
-        let m = WireMessage::build(Some(&mac), vec![], &header, None, "{\"code\":\"x\"}".into());
+        let m = WireMessage::build(Some(&mac), vec![], header, None, "{\"code\":\"x\"}".into());
         let mut bad = m.clone();
         // Append a visible character; guaranteed to change the bytes.
         bad.content.push((0x21 + (tamper % 0x5e)) as char);
@@ -62,9 +62,9 @@ proptest! {
     /// Decoding a prefix never panics and never yields a message.
     #[test]
     fn wire_prefix_is_incomplete(cut_frac in 0.0f64..1.0) {
-        let header = Header::new(MsgType::Status, "s", "u", 0, 0);
+        let header = header_json(MsgType::Status, "s", "u", 0, 0);
         let mac = HmacSha256::new(b"k");
-        let m = WireMessage::build(Some(&mac), vec![b"id".to_vec()], &header, None, "{}".into());
+        let m = WireMessage::build(Some(&mac), vec![b"id".to_vec()], header, None, "{}".into());
         let bytes = m.encode();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(WireMessage::decode(&bytes[..cut]).unwrap().is_none());
@@ -400,6 +400,128 @@ proptest! {
     }
 }
 
+/// The message type both wire views read from `header`.
+fn view_msg_type(header: &str) -> Option<MsgType> {
+    let owned = WireMessage::build(None, vec![], header.to_string(), None, "{}".into());
+    let bytes = owned.encode();
+    let (view, _) = WireView::decode(&bytes).unwrap().unwrap();
+    let got = owned.msg_type();
+    assert_eq!(view.msg_type(), got, "views disagree on {header:?}");
+    got
+}
+
+/// The oracle: parse `header` into a [`Header`] and read its type.
+fn oracle_msg_type(header: &str) -> Option<MsgType> {
+    serde_json::from_str::<Header>(header)
+        .ok()
+        .map(|h| h.msg_type)
+}
+
+/// Values spliced over or next to header fields: strings, known and
+/// unknown type names, and every non-string kind.
+const VALUES: [&str; 10] = [
+    "\"status\"",
+    "\"execute_request\"",
+    "\"no_such_type\"",
+    "\"st\\u0061tus\"",
+    "5",
+    "null",
+    "true",
+    "[]",
+    "{\"msg_type\":\"error\"}",
+    "\"\"",
+];
+
+/// What may follow the object.
+const TRAILERS: [&str; 7] = ["", " ", "\n", "x", "}", "{}", ","];
+
+/// The header's members as `(key, value)` JSON texts, then each of
+/// `ops` applied: drop a member, duplicate one (with a spliced value),
+/// escape one character of a key, replace a value, or add a member
+/// nested 126–130 containers deep. Written back as an object with
+/// `trailer` after it.
+fn restructure(header: &Header, ops: &[(u8, u8, u8)], trailer: &str) -> String {
+    let json = |s: &str| serde_json::to_string(s).unwrap();
+    let mut members: Vec<(String, String)> = [
+        ("msg_id", json(&header.msg_id)),
+        ("session", json(&header.session)),
+        ("username", json(&header.username)),
+        ("date", json(&header.date)),
+        ("msg_type", json(header.msg_type.name())),
+        ("version", json(&header.version)),
+    ]
+    .into_iter()
+    .map(|(k, v)| (json(k), v))
+    .collect();
+    for &(op, a, b) in ops {
+        let n = members.len().max(1);
+        let i = a as usize % n;
+        let value = VALUES[b as usize % VALUES.len()].to_string();
+        match op % 5 {
+            0 if !members.is_empty() => drop(members.remove(i)),
+            1 if !members.is_empty() => {
+                let key = members[i].0.clone();
+                members.insert(b as usize % (members.len() + 1), (key, value));
+            }
+            2 if !members.is_empty() => {
+                let key = &mut members[i].0;
+                // Inside the quotes; every key here is plain ASCII.
+                let at = 1 + b as usize % (key.len() - 2).max(1);
+                if at < key.len() - 1 {
+                    let c = key.as_bytes()[at];
+                    key.replace_range(at..at + 1, &format!("\\u{:04x}", c));
+                }
+            }
+            3 if !members.is_empty() => members[i].1 = value,
+            _ => {
+                let depth = 126 + b as usize % 5;
+                let (open, close) = if a % 2 == 0 {
+                    ("[", "]")
+                } else {
+                    ("{\"k\":", "}")
+                };
+                let nested = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+                members.insert(i % (members.len() + 1), (json("x"), nested));
+            }
+        }
+    }
+    let body: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+    format!("{{{}}}{trailer}", body.join(","))
+}
+
+proptest! {
+    /// The header writer sessions use is byte-identical to serializing
+    /// `Header::new`, for arbitrary session and user strings (quotes,
+    /// backslashes, control and non-ASCII characters), every message
+    /// type, and `seq`/`sim_us` anywhere in `u64`.
+    #[test]
+    fn header_json_equals_serialized_header_new(
+        session in arb_text(),
+        username in arb_text(),
+        t in 0..MSG_TYPES.len(),
+        seq in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        sim_us in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]) {
+        let oracle = serde_json::to_string(&Header::new(MSG_TYPES[t], &session, &username, seq, sim_us)).unwrap();
+        prop_assert_eq!(header_json(MSG_TYPES[t], &session, &username, seq, sim_us), oracle);
+    }
+
+    /// The borrowed message-type read equals parsing into a `Header`,
+    /// on restructured headers (missing, duplicate and escaped keys,
+    /// non-string values, over-deep nesting, trailing bytes) and on
+    /// those further mutated byte by byte.
+    #[test]
+    fn msg_type_reads_like_the_header_parse(
+        header in arb_header(),
+        ops in collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..4),
+        trailer in 0..TRAILERS.len(),
+        edits in arb_edits()) {
+        let text = restructure(&header, &ops, TRAILERS[trailer]);
+        for text in [text.clone(), mutate(&text, &edits)] {
+            prop_assert_eq!(view_msg_type(&text), oracle_msg_type(&text), "reading {:?}", text);
+        }
+    }
+}
+
 #[test]
 fn header_reads_on_hand_picked_headers() {
     let msg_type = |text: &str| {
@@ -427,15 +549,22 @@ fn header_reads_on_hand_picked_headers() {
         good.replace('}', ",\"x\":170141183460469231731687303715884105727}"),
         "[]".to_string(),
         String::new(),
+        // Whitespace may follow the object; nothing else may.
+        format!("{good} \n"),
+        format!("{good}x"),
+        format!("{good}{{}}"),
     ];
     for text in &cases {
         check_parse::<Header>(text);
+        assert_eq!(view_msg_type(text), msg_type(text), "reading {text:?}");
     }
     assert_eq!(msg_type(&cases[0]), Some(MsgType::Status));
     assert_eq!(msg_type(&cases[1]), Some(MsgType::Error));
     assert_eq!(msg_type(&cases[4]), Some(MsgType::Status));
     assert_eq!(msg_type(&cases[3]), Some(MsgType::Status));
     assert_eq!(msg_type(&cases[9]), None);
+    assert_eq!(msg_type(&cases[13]), Some(MsgType::Status));
+    assert_eq!(msg_type(&cases[14]), None);
     // Depths 127, 128 and 129: past the cap nothing is readable.
     for (depth, readable) in [(127, true), (128, true), (129, false)] {
         let deep = good.replace(
@@ -448,5 +577,6 @@ fn header_reads_on_hand_picked_headers() {
         );
         check_parse::<Header>(&deep);
         assert_eq!(msg_type(&deep).is_some(), readable, "depth {depth}");
+        assert_eq!(view_msg_type(&deep), msg_type(&deep), "depth {depth}");
     }
 }

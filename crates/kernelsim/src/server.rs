@@ -12,7 +12,7 @@ use crate::events::{SysEvent, SysEventKind};
 use crate::process::{Pid, ProcessTable};
 use crate::terminal::TerminalSession;
 use crate::transport::SessionDelivery;
-use crate::vfs::Vfs;
+use crate::vfs::{repeat_to, Vfs};
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_crypto::sha256::sha256;
@@ -25,10 +25,9 @@ use ja_netsim::network::Network;
 use ja_netsim::rng::{split_seed, SimRng};
 use ja_netsim::segment::Direction;
 use ja_netsim::time::{Duration, SimTime};
-use ja_websocket::codec::fragment;
-use ja_websocket::frame::Opcode;
+use ja_websocket::codec::fragment_mask;
+use ja_websocket::frame::{apply_mask, header_len, write_header, Opcode};
 use ja_websocket::handshake::{UpgradeRequest, UpgradeResponse};
-use std::borrow::Cow;
 
 /// Derive the transport keystream seed for one direction of one flow.
 /// A monitor granted "TLS inspection" knows `secret` and can derive the
@@ -55,6 +54,34 @@ pub fn message_cipher_seed(conn_seed: &[u8], msg_seq: u64, dir: Direction) -> Ve
         Direction::ToInitiator => 1,
     });
     s
+}
+
+/// One WebSocket message's wire bytes, built in one buffer: the header
+/// of a final binary frame (masked with `mask`), then the
+/// `body_len`-byte body `write_body` appends, E2E-encrypted by `e2e`,
+/// then masked; then the whole frame encrypted by `transport`.
+fn ws_frame(
+    mask: Option<[u8; 4]>,
+    e2e: Option<ChaCha20>,
+    transport: Option<&mut ChaCha20>,
+    body_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut wire = Vec::with_capacity(header_len(body_len, mask.is_some()) + body_len);
+    write_header(&mut wire, true, Opcode::Binary, mask, body_len);
+    let start = wire.len();
+    write_body(&mut wire);
+    debug_assert_eq!(wire.len() - start, body_len, "body length");
+    if let Some(mut cipher) = e2e {
+        cipher.apply(&mut wire[start..]);
+    }
+    if let Some(key) = mask {
+        apply_mask(&mut wire[start..], key);
+    }
+    if let Some(cipher) = transport {
+        cipher.apply(&mut wire);
+    }
+    wire
 }
 
 struct KernelEntry {
@@ -292,44 +319,36 @@ impl NotebookServer {
         }
     }
 
+    /// Put one WebSocket message on `conn`'s flow in direction `dir`:
+    /// the `body_len`-byte body that `write_body` appends, in one
+    /// buffer after its frame header, then E2E-encrypted (in that
+    /// mode), masked (client to server, with [`fragment_mask`]`(0)`)
+    /// and transport-encrypted in place by [`ws_frame`]. Before
+    /// transport encryption the bytes are exactly
+    /// `fragment(Opcode::Binary, body, 1, masked)[0].encode()`. Returns
+    /// when the last segment left.
     fn ws_send(
         net: &mut Network,
         at: SimTime,
         conn: &mut ClientConn,
         dir: Direction,
-        payload: &[u8],
+        body_len: usize,
+        write_body: impl FnOnce(&mut Vec<u8>),
     ) -> SimTime {
         // Allocate this message's number from the direction's counter.
-        let msg_seq = match dir {
-            Direction::ToResponder => {
-                conn.c2s_seq += 1;
-                conn.c2s_seq - 1
-            }
-            Direction::ToInitiator => {
-                conn.s2c_seq += 1;
-                conn.s2c_seq - 1
-            }
+        let (seq, transport) = match dir {
+            Direction::ToResponder => (&mut conn.c2s_seq, &mut conn.c2s),
+            Direction::ToInitiator => (&mut conn.s2c_seq, &mut conn.s2c),
         };
-        // E2E mode: encrypt the message body before framing.
-        let body: Cow<[u8]> = match &conn.msg_cipher_seed {
-            Some(seed) => {
-                let s = message_cipher_seed(seed, msg_seq, dir);
-                Cow::Owned(ChaCha20::from_seed(&s).encrypt(payload))
-            }
-            None => Cow::Borrowed(payload),
-        };
-        let masked = dir == Direction::ToResponder; // client masks
-        let frames = fragment(Opcode::Binary, &body, 1, masked);
-        let mut t = at;
-        for f in frames {
-            let bytes = f.encode();
-            let wire = match dir {
-                Direction::ToResponder => Self::transport_encrypt(&mut conn.c2s, bytes),
-                Direction::ToInitiator => Self::transport_encrypt(&mut conn.s2c, bytes),
-            };
-            t = net.send(t, conn.flow, dir, &wire);
-        }
-        t
+        *seq += 1;
+        let msg_seq = *seq - 1;
+        let e2e = conn
+            .msg_cipher_seed
+            .as_ref()
+            .map(|seed| ChaCha20::from_seed(&message_cipher_seed(seed, msg_seq, dir)));
+        let mask = (dir == Direction::ToResponder).then(|| fragment_mask(0)); // client masks
+        let wire = ws_frame(mask, e2e, transport.as_mut(), body_len, write_body);
+        net.send(at, conn.flow, dir, &wire)
     }
 
     fn push_event(&mut self, time: SimTime, user: &str, kind: SysEventKind) {
@@ -380,7 +399,14 @@ impl NotebookServer {
         );
         // 1. Request on the wire.
         let request = conn.client.execute_request(&script.code, at.as_micros());
-        let mut t = Self::ws_send(net, at, conn, Direction::ToResponder, &request.encode());
+        let mut t = Self::ws_send(
+            net,
+            at,
+            conn,
+            Direction::ToResponder,
+            request.encoded_len(),
+            |out| request.encode_into(out),
+        );
         // 2. Apply side effects.
         let (effect, end) = self.apply_actions(net, t, conn, script);
         t = end;
@@ -390,7 +416,14 @@ impl NotebookServer {
             .handle_execute(&request, &effect, t.as_micros())
             .unwrap_or_default();
         for (_ch, msg) in &replies {
-            t = Self::ws_send(net, t, conn, Direction::ToInitiator, &msg.encode());
+            t = Self::ws_send(
+                net,
+                t,
+                conn,
+                Direction::ToInitiator,
+                msg.encoded_len(),
+                |out| msg.encode_into(out),
+            );
         }
         SessionDelivery {
             replies,
@@ -597,12 +630,10 @@ impl NotebookServer {
             SimRng::new(seed).fill_bytes(&mut out);
             out
         } else {
-            b"GET /telemetry?value=0.173&run=12 HTTP/1.1\r\nHost: data.example\r\n\r\n"
-                .iter()
-                .cycle()
-                .take(len)
-                .copied()
-                .collect()
+            repeat_to(
+                b"GET /telemetry?value=0.173&run=12 HTTP/1.1\r\nHost: data.example\r\n\r\n",
+                len,
+            )
         }
     }
 
@@ -619,10 +650,19 @@ impl NotebookServer {
         cmdline: &str,
     ) -> SessionDelivery {
         let user = conn.user.clone();
-        let mut t = Self::ws_send(net, at, conn, Direction::ToResponder, cmdline.as_bytes());
+        let mut t = Self::ws_send(
+            net,
+            at,
+            conn,
+            Direction::ToResponder,
+            cmdline.len(),
+            |out| out.extend_from_slice(cmdline.as_bytes()),
+        );
         self.run_terminal(at, &user, cmdline);
         let output = self.terminal_output(&user, cmdline);
-        t = Self::ws_send(net, t, conn, Direction::ToInitiator, output.as_bytes());
+        t = Self::ws_send(net, t, conn, Direction::ToInitiator, output.len(), |out| {
+            out.extend_from_slice(output.as_bytes())
+        });
         SessionDelivery {
             replies: Vec::new(),
             terminal_output: Some(output),
@@ -742,6 +782,7 @@ mod tests {
     use crate::config::AuthMode;
     use crate::vfs::ContentKind;
     use ja_netsim::addr::ports;
+    use ja_websocket::codec::fragment;
 
     fn boot(config: ServerConfig) -> (NotebookServer, Network) {
         let mut srv = NotebookServer::new(1, config, 42);
@@ -984,5 +1025,33 @@ mod tests {
         cfg.auth = AuthMode::None;
         let (srv, _net) = boot(cfg);
         assert!(srv.signing_key().is_empty());
+    }
+
+    proptest::proptest! {
+        /// The in-place frame equals the frame-by-frame reference: the
+        /// body E2E-encrypted into a new buffer, framed by `fragment`
+        /// into one frame, encoded, then transport-encrypted. Bodies
+        /// cover all three length forms; every mode and direction.
+        #[test]
+        fn ws_frame_equals_fragment_encode(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..70_000),
+            masked in proptest::prelude::any::<bool>(),
+            e2e in proptest::option::of(proptest::prelude::any::<[u8; 16]>()),
+            transport in proptest::option::of(proptest::prelude::any::<[u8; 16]>())) {
+            let e2e = e2e.map(|seed| ChaCha20::from_seed(&seed));
+            let mut transport = transport.map(|seed| ChaCha20::from_seed(&seed));
+            let plain = match e2e.clone() {
+                Some(mut c) => c.encrypt(&body),
+                None => body.clone(),
+            };
+            let frames = fragment(Opcode::Binary, &plain, 1, masked);
+            proptest::prop_assert_eq!(frames.len(), 1);
+            let want = NotebookServer::transport_encrypt(&mut transport.clone(), frames[0].encode());
+            let mask = masked.then(|| fragment_mask(0));
+            let got = ws_frame(mask, e2e, transport.as_mut(), body.len(), |out| {
+                out.extend_from_slice(&body)
+            });
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

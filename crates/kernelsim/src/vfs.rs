@@ -41,12 +41,24 @@ pub enum ContentKind {
 /// How many content bytes are materialized per file for statistics.
 pub const SAMPLE_LEN: usize = 1024;
 
+/// `pattern` (not empty) repeated and cut to `len` bytes, copied a
+/// whole pattern at a time.
+pub(crate) fn repeat_to(pattern: &[u8], len: usize) -> Vec<u8> {
+    assert!(!pattern.is_empty(), "repeat_to of an empty pattern");
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let n = (len - out.len()).min(pattern.len());
+        out.extend_from_slice(&pattern[..n]);
+    }
+    out
+}
+
 /// Generate a deterministic content sample of `kind`.
 pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
     match kind {
         ContentKind::Text => {
             let corpus = b"import numpy as np\n# compute spectral density\nfor i in range(N):\n    psd[i] = fft(x[i])\n";
-            corpus.iter().cycle().take(SAMPLE_LEN).copied().collect()
+            repeat_to(corpus, SAMPLE_LEN)
         }
         ContentKind::Csv => {
             // Room for the longest line past the cut, so it never regrows.
@@ -388,6 +400,16 @@ impl Vfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeat_to_equals_a_cycled_pattern() {
+        for pattern in [&b"a"[..], b"abc", b"0123456789"] {
+            for len in [0, 1, 2, 3, 9, 10, 11, 1024, 65536] {
+                let want: Vec<u8> = pattern.iter().cycle().take(len).copied().collect();
+                assert_eq!(repeat_to(pattern, len), want, "{pattern:?} to {len}");
+            }
+        }
+    }
     use proptest::prelude::*;
 
     fn rng() -> SimRng {

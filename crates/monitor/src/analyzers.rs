@@ -139,15 +139,16 @@ fn try_parse(
 fn parse_ws_side(bytes: &[u8], out: &mut Vec<ParsedKernelMsg>, opaque: &mut usize) {
     let mut dec = FrameDecoder::new();
     let mut asm = MessageAssembler::new();
-    let Ok(frames) = dec.feed(bytes) else {
-        *opaque += 1;
-        return;
-    };
-    for frame in frames {
-        let Ok(Some(msg)) = asm.push(frame) else {
-            continue;
-        };
-        observe_ws_message(&msg, out, opaque);
+    // An error anywhere drops every message of the side.
+    let (mark_msgs, mark_opaque) = (out.len(), *opaque);
+    let fed = dec.feed_each(bytes, |frame| {
+        if let Ok(Some(msg)) = asm.push(frame) {
+            observe_ws_message(&msg, out, opaque);
+        }
+    });
+    if fed.is_err() {
+        out.truncate(mark_msgs);
+        *opaque = mark_opaque + 1;
     }
 }
 
@@ -370,13 +371,13 @@ mod tests {
 
     #[test]
     fn deeply_nested_execute_content_does_not_overflow_a_shard_stack() {
-        use ja_jupyter_proto::messages::Header;
+        use ja_jupyter_proto::messages::header_json;
         use ja_jupyter_proto::wire::WireMessage;
         // Attacker-controlled content nested 100k arrays deep, parsed
         // on a thread with the default 2 MiB stack shard workers get:
         // the message still counts, its code is simply unreadable.
-        let header = Header::new(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
-        let wire = WireMessage::build(None, vec![], &header, None, "[".repeat(100_000));
+        let header = header_json(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
+        let wire = WireMessage::build(None, vec![], header, None, "[".repeat(100_000));
         let msg = Message::Binary(wire.encode());
         let (out, opaque) = std::thread::Builder::new()
             .stack_size(2 << 20)

@@ -609,23 +609,21 @@ fn feed_ws(side: &mut SideScan, bytes: &[u8]) {
     let SidePhase::Ws { dec, asm } = &mut side.phase else {
         return;
     };
-    let frames = match dec.feed(bytes) {
-        Ok(frames) => frames,
-        Err(_) => {
-            // The full-buffer path feeds the whole side in one call, so an
-            // error anywhere drops every frame of the side and counts
-            // exactly one opaque unit. Mirror that by retracting
-            // everything this side accumulated and releasing its buffers.
-            side.phase = SidePhase::Rejected;
-            side.msgs.clear();
-            side.opaque = 1;
-            return;
-        }
-    };
-    for frame in frames {
+    let msgs = &mut side.msgs;
+    let opaque = &mut side.opaque;
+    let fed = dec.feed_each(bytes, |frame| {
         if let Ok(Some(msg)) = asm.push(frame) {
-            observe_ws_message(&msg, &mut side.msgs, &mut side.opaque);
+            observe_ws_message(&msg, msgs, opaque);
         }
+    });
+    if fed.is_err() {
+        // The full-buffer path feeds the whole side in one call, so an
+        // error anywhere drops every frame of the side and counts
+        // exactly one opaque unit. Mirror that by retracting
+        // everything this side accumulated and releasing its buffers.
+        side.phase = SidePhase::Rejected;
+        side.msgs.clear();
+        side.opaque = 1;
     }
 }
 

@@ -921,11 +921,11 @@ const HOSTILE_CODES: [&str; 3] = ["print(1)", "subprocess.Popen('/tmp/.stratum_k
 /// encoded as WebSocket frames: split into 1–3 fragments, masked or not.
 fn arb_kernel_frames() -> impl Strategy<Value = Vec<u8>> {
     (0..HOSTILE_CODES.len(), 1usize..4, any::<bool>()).prop_map(|(code, fragments, masked)| {
-        use ja_jupyter_proto::messages::{Header, MsgType};
+        use ja_jupyter_proto::messages::{header_json, MsgType};
         use ja_jupyter_proto::wire::WireMessage;
-        let header = Header::new(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
+        let header = header_json(MsgType::ExecuteRequest, "s", "mallory", 1, 0);
         let content = format!("{{\"code\": \"{}\"}}", HOSTILE_CODES[code]);
-        let wire = WireMessage::build(None, vec![], &header, None, content).encode();
+        let wire = WireMessage::build(None, vec![], header, None, content).encode();
         ja_websocket::codec::fragment(ja_websocket::Opcode::Binary, &wire, fragments, masked)
             .iter()
             .flat_map(ja_websocket::Frame::encode)

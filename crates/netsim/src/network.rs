@@ -127,16 +127,11 @@ impl Network {
         };
         payload::count_captured(payload.len() as u64);
         let shared = PayloadBytes::copy_from(payload);
-        // Zero-length writes still produce a record (pure ACK/keepalive).
-        let bounds: Vec<(usize, usize)> = if payload.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..payload.len())
-                .step_by(mss)
-                .map(|s| (s, (s + mss).min(payload.len())))
-                .collect()
-        };
-        for (start, end) in bounds {
+        // One record per MSS-sized chunk; a zero-length write still
+        // produces one (pure ACK/keepalive).
+        let mut start = 0;
+        loop {
+            let end = (start + mss).min(payload.len());
             let chunk = shared.slice(start..end);
             let chunk_len = chunk.len();
             self.records.push(SegmentRecord {
@@ -161,6 +156,10 @@ impl Network {
                 }
             }
             t += gap;
+            start = end;
+            if start == payload.len() {
+                break;
+            }
         }
         t
     }

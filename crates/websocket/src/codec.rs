@@ -2,6 +2,12 @@
 //!
 //! [`FrameDecoder`] consumes raw bytes in arbitrary chunks — exactly what a
 //! passive network analyzer sees after TCP reassembly — and yields frames.
+//! Its one decode loop is [`FrameDecoder::feed_each`], which hands each
+//! frame to a callback as it completes: it decodes straight from the
+//! caller's bytes while nothing is buffered, and keeps (or compacts) its
+//! buffer once per call rather than once per frame, so feeding a whole
+//! side of a flow at once costs time linear in its length.
+//! [`FrameDecoder::feed`] collects the same frames into a `Vec`.
 //! [`MessageAssembler`] sits on top and reassembles fragmented messages
 //! while letting interleaved control frames through, per RFC 6455 §5.4.
 
@@ -53,28 +59,58 @@ impl FrameDecoder {
         self.failed
     }
 
-    /// Feed more bytes; returns all complete frames now available.
-    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Frame>, FrameError> {
+    /// Feed more bytes, handing every frame they complete to `on_frame`
+    /// in stream order. Bytes after the last complete frame are kept for
+    /// the next call. On a protocol error the frames before it have been
+    /// handed over, the bytes from the bad frame on stay buffered, and
+    /// the decoder is poisoned: every later call fails.
+    pub fn feed_each(
+        &mut self,
+        data: &[u8],
+        mut on_frame: impl FnMut(Frame),
+    ) -> Result<(), FrameError> {
         if self.failed {
             return Err(FrameError::ReservedBitsSet); // poisoned; caller should have stopped
         }
-        self.buf.extend_from_slice(data);
-        let mut frames = Vec::new();
-        loop {
-            match Frame::decode(&self.buf, self.max_payload) {
-                Ok(Some((frame, used))) => {
-                    self.buf.drain(..used);
+        // With nothing buffered, decode straight from `data`; otherwise
+        // from the buffer with `data` appended.
+        let mut buf = std::mem::take(&mut self.buf);
+        let from_buf = !buf.is_empty();
+        if from_buf {
+            buf.extend_from_slice(data);
+        }
+        let input = if from_buf { &buf[..] } else { data };
+        let mut used = 0;
+        let result = loop {
+            match Frame::decode(&input[used..], self.max_payload) {
+                Ok(Some((frame, n))) => {
+                    used += n;
                     self.frames_decoded += 1;
                     self.bytes_decoded += frame.payload.len() as u64;
-                    frames.push(frame);
+                    on_frame(frame);
                 }
-                Ok(None) => break,
+                Ok(None) => break Ok(()),
                 Err(e) => {
                     self.failed = true;
-                    return Err(e);
+                    break Err(e);
                 }
             }
+        };
+        if from_buf {
+            buf.drain(..used);
+        } else {
+            buf.extend_from_slice(&data[used..]);
         }
+        self.buf = buf;
+        result
+    }
+
+    /// Feed more bytes; returns all complete frames now available
+    /// ([`FrameDecoder::feed_each`] collected into a `Vec`; on an error
+    /// the frames before it are dropped with the call's result).
+    pub fn feed(&mut self, data: &[u8]) -> Result<Vec<Frame>, FrameError> {
+        let mut frames = Vec::new();
+        self.feed_each(data, |frame| frames.push(frame))?;
         Ok(frames)
     }
 }
@@ -246,10 +282,16 @@ impl MessageAssembler {
     }
 }
 
+/// The masking key [`fragment`] gives its `index`-th frame.
+pub fn fragment_mask(index: usize) -> [u8; 4] {
+    let k = (index as u32).wrapping_mul(0x9e3779b9).to_be_bytes();
+    [k[0], k[1], k[2] ^ 0x5a, k[3] | 1]
+}
+
 /// Fragment a message payload into `n` data frames (first carries the
-/// opcode, the rest are continuations). Used by the simulated clients and
-/// by tests; `mask` applies client-side masking with per-frame keys
-/// derived from the fragment index.
+/// opcode, the rest are continuations). Used by tests and as the
+/// reference for senders that frame in place; `mask` applies
+/// client-side masking with per-frame keys from [`fragment_mask`].
 pub fn fragment(opcode: Opcode, payload: &[u8], fragments: usize, mask: bool) -> Vec<Frame> {
     let fragments = fragments.max(1);
     let chunk = payload.len().div_ceil(fragments).max(1);
@@ -265,10 +307,7 @@ pub fn fragment(opcode: Opcode, payload: &[u8], fragments: usize, mask: bool) ->
         .map(|(i, c)| Frame {
             fin: i == n - 1,
             opcode: if i == 0 { opcode } else { Opcode::Continuation },
-            mask: mask.then(|| {
-                let k = (i as u32).wrapping_mul(0x9e3779b9).to_be_bytes();
-                [k[0], k[1], k[2] ^ 0x5a, k[3] | 1]
-            }),
+            mask: mask.then(|| fragment_mask(i)),
             payload: c.to_vec(),
         })
         .collect()

@@ -115,44 +115,23 @@ impl Frame {
 
     /// Byte length of the encoded frame.
     pub fn encoded_len(&self) -> usize {
-        let len = self.payload.len();
-        let len_field = if len < 126 {
-            0
-        } else if len <= u16::MAX as usize {
-            2
-        } else {
-            8
-        };
-        2 + len_field + if self.mask.is_some() { 4 } else { 0 } + len
+        header_len(self.payload.len(), self.mask.is_some()) + self.payload.len()
     }
 
     /// Encode the frame to bytes (applying the mask if present).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        let b0 = (if self.fin { 0x80 } else { 0 }) | self.opcode.to_u8();
-        out.push(b0);
-        let mask_bit = if self.mask.is_some() { 0x80 } else { 0 };
-        let len = self.payload.len();
-        if len < 126 {
-            out.push(mask_bit | len as u8);
-        } else if len <= u16::MAX as usize {
-            out.push(mask_bit | 126);
-            out.extend_from_slice(&(len as u16).to_be_bytes());
-        } else {
-            out.push(mask_bit | 127);
-            out.extend_from_slice(&(len as u64).to_be_bytes());
-        }
-        match self.mask {
-            Some(key) => {
-                out.extend_from_slice(&key);
-                out.extend(
-                    self.payload
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &b)| b ^ key[i % 4]),
-                );
-            }
-            None => out.extend_from_slice(&self.payload),
+        write_header(
+            &mut out,
+            self.fin,
+            self.opcode,
+            self.mask,
+            self.payload.len(),
+        );
+        let start = out.len();
+        out.extend_from_slice(&self.payload);
+        if let Some(key) = self.mask {
+            apply_mask(&mut out[start..], key);
         }
         out
     }
@@ -223,9 +202,7 @@ impl Frame {
         }
         let mut payload = buf[pos..pos + plen].to_vec();
         if let Some(key) = mask {
-            for (i, b) in payload.iter_mut().enumerate() {
-                *b ^= key[i % 4];
-            }
+            apply_mask(&mut payload, key);
         }
         Ok(Some((
             Frame {
@@ -236,6 +213,67 @@ impl Frame {
             },
             pos + plen,
         )))
+    }
+}
+
+/// Byte length of the header of a frame carrying `payload_len` bytes:
+/// two bytes, the extended length if any, and the masking key if
+/// `masked`.
+pub fn header_len(payload_len: usize, masked: bool) -> usize {
+    let len_field = if payload_len < 126 {
+        0
+    } else if payload_len <= u16::MAX as usize {
+        2
+    } else {
+        8
+    };
+    2 + len_field + if masked { 4 } else { 0 }
+}
+
+/// Append the header of a frame carrying `payload_len` bytes: the
+/// FIN/opcode byte, the length in its shortest form and the masking
+/// key. The payload goes after it, masked with [`apply_mask`] when
+/// `mask` is set. [`Frame::encode`] is this plus the payload; a sender
+/// that builds the payload in place writes the header first and the
+/// payload straight after it, without a [`Frame`].
+pub fn write_header(
+    out: &mut Vec<u8>,
+    fin: bool,
+    opcode: Opcode,
+    mask: Option<[u8; 4]>,
+    payload_len: usize,
+) {
+    out.push((if fin { 0x80 } else { 0 }) | opcode.to_u8());
+    let mask_bit = if mask.is_some() { 0x80 } else { 0 };
+    if payload_len < 126 {
+        out.push(mask_bit | payload_len as u8);
+    } else if payload_len <= u16::MAX as usize {
+        out.push(mask_bit | 126);
+        out.extend_from_slice(&(payload_len as u16).to_be_bytes());
+    } else {
+        out.push(mask_bit | 127);
+        out.extend_from_slice(&(payload_len as u64).to_be_bytes());
+    }
+    if let Some(key) = mask {
+        out.extend_from_slice(&key);
+    }
+}
+
+/// XOR `payload` with the masking key `key` repeated (RFC 6455 §5.3),
+/// in place; masking twice restores the payload. Eight bytes at a time,
+/// then the tail byte by byte.
+pub fn apply_mask(payload: &mut [u8], key: [u8; 4]) {
+    let wide = u64::from_ne_bytes([
+        key[0], key[1], key[2], key[3], key[0], key[1], key[2], key[3],
+    ]);
+    let mut chunks = payload.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        let word = u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")) ^ wide;
+        chunk.copy_from_slice(&word.to_ne_bytes());
+    }
+    // Every whole chunk is 8 bytes, so the tail starts on key byte 0.
+    for (i, b) in chunks.into_remainder().iter_mut().enumerate() {
+        *b ^= key[i % 4];
     }
 }
 
@@ -372,6 +410,35 @@ mod tests {
         let mut bytes = vec![0x82, 0x7F];
         bytes.extend_from_slice(&(1u64 << 63).to_be_bytes());
         assert_eq!(Frame::decode(&bytes, MAX), Err(FrameError::BadLength));
+    }
+
+    #[test]
+    fn apply_mask_equals_bytewise_xor() {
+        let key = [0x37, 0xfa, 0x21, 0x3d];
+        for len in 0..40usize {
+            let plain: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(29)).collect();
+            let mut masked = plain.clone();
+            apply_mask(&mut masked, key);
+            let want: Vec<u8> = plain
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| b ^ key[i % 4])
+                .collect();
+            assert_eq!(masked, want, "len {len}");
+            apply_mask(&mut masked, key);
+            assert_eq!(masked, plain, "len {len}");
+        }
+    }
+
+    #[test]
+    fn header_len_matches_write_header() {
+        for len in [0usize, 125, 126, 65535, 65536] {
+            for mask in [None, Some([1, 2, 3, 4])] {
+                let mut out = Vec::new();
+                write_header(&mut out, true, Opcode::Binary, mask, len);
+                assert_eq!(out.len(), header_len(len, mask.is_some()), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -231,3 +231,63 @@ proptest! {
         prop_assert!(assembled <= pushed);
     }
 }
+
+/// Everything a decoder yields from `wire` fed in `chunks`-sized calls
+/// to [`FrameDecoder::feed_each`], up to and including the first error,
+/// and its counters and buffer after the last call.
+fn decode_in_chunks(wire: &[u8], chunk: usize) -> (Vec<Frame>, Option<String>, [u64; 3]) {
+    let mut dec = FrameDecoder::with_max_payload(300);
+    let mut frames = Vec::new();
+    let mut error = None;
+    for c in wire.chunks(chunk) {
+        if let Err(e) = dec.feed_each(c, |f| frames.push(f)) {
+            error = Some(e.to_string());
+            break;
+        }
+    }
+    let counters = [dec.frames_decoded, dec.bytes_decoded, dec.buffered() as u64];
+    (frames, error, counters)
+}
+
+proptest! {
+    /// `feed_each` over any chunking of a stream of valid and invalid
+    /// frames yields exactly what byte-at-a-time `feed` yields: the same
+    /// frames in order, the same first error, the same counters, and the
+    /// same bytes left buffered.
+    #[test]
+    fn feed_each_equals_byte_at_a_time_feed(
+        frames in collection::vec(
+            prop_oneof![
+                arb_frame_bytes(),
+                (collection::vec(any::<u8>(), 0..400), proptest::option::of(any::<[u8; 4]>()))
+                    .prop_map(|(payload, mask)| Frame { fin: true, opcode: Opcode::Binary, mask, payload }.encode()),
+            ],
+            0..10),
+        chunk in prop_oneof![1usize..40, Just(usize::MAX)]) {
+        let wire = frames.concat();
+        let mut dec = FrameDecoder::with_max_payload(300);
+        let mut want = Vec::new();
+        let mut want_error = None;
+        for b in &wire {
+            match dec.feed(std::slice::from_ref(b)) {
+                Ok(fs) => want.extend(fs),
+                Err(e) => {
+                    want_error = Some(e.to_string());
+                    break;
+                }
+            }
+        }
+        let want_counters = [dec.frames_decoded, dec.bytes_decoded, dec.buffered() as u64];
+        let (got, got_error, got_counters) = decode_in_chunks(&wire, chunk.min(wire.len().max(1)));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got_error, want_error.clone());
+        if want_error.is_none() {
+            prop_assert_eq!(got_counters, want_counters);
+        } else {
+            // The error falls on the same frame, so the same frames were
+            // counted; the buffer holds what the failing call was given
+            // from the bad frame on, which depends on the chunking.
+            prop_assert_eq!(&got_counters[..2], &want_counters[..2]);
+        }
+    }
+}

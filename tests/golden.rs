@@ -9,16 +9,24 @@
 //! (campaigns, detected, false positives, mean latency bits). When a
 //! change is *meant* to alter detection, recompute the digests and say
 //! why in the change description.
+//!
+//! The capture digests pin what the lab producer makes, before any
+//! detection: every segment, sys event and auth event of one lab
+//! scenario at two seeds. A producer change meant to be byte-identical
+//! (a faster encoder, fewer copies) must leave them where they are.
 
 use jupyter_audit::attackgen::benign::{session, BenignProfile};
 use jupyter_audit::attackgen::campaign::Campaign;
 use jupyter_audit::attackgen::mixer::build_attack;
+use jupyter_audit::attackgen::stream::{ScenarioItem, ScenarioStream};
 use jupyter_audit::attackgen::AttackClass;
 use jupyter_audit::core::intel::{build_wave, IntelConfig, WaveSpec};
-use jupyter_audit::core::pipeline::{CampaignPlan, Pipeline, PipelineConfig};
+use jupyter_audit::core::pipeline::{CampaignPlan, InteractiveScenario, Pipeline, PipelineConfig};
 use jupyter_audit::core::report::Report;
 use jupyter_audit::core::service::{MixSource, ServiceConfig, SocService};
-use jupyter_audit::crypto::sha256::sha256_hex;
+use jupyter_audit::crypto::hex;
+use jupyter_audit::crypto::sha256::{sha256_hex, Sha256};
+use jupyter_audit::kernelsim::deployment::Deployment;
 use jupyter_audit::monitor::alerts::AlertSource;
 use jupyter_audit::netsim::rng::SimRng;
 use jupyter_audit::netsim::time::{Duration, SimTime};
@@ -158,4 +166,88 @@ fn golden_service_three_epochs() {
         "2c5707c55ecc5406e79e29f0b090d244198fed1cf0e42dcf8ab66805b77195df",
         "e9520522064a38033fc125043b32f94716d6bb6597cfb30ee40802936c4220a7",
     );
+}
+
+/// SHA-256 over everything the lab producer makes at `seed`: the
+/// `small_lab` deployment with one decoy, four benign sessions per
+/// server, exfiltration, mining and ransomware, the interactive
+/// escalation and worm, and one intel wave. Each segment contributes
+/// its time, tuple, flow, direction, stream offset, wire length, flags
+/// and payload; each sys and auth event its full `Debug` form.
+fn lab_capture_digest(seed: u64) -> String {
+    let mut cfg = PipelineConfig::small_lab(seed);
+    cfg.deployment.decoys = 1;
+    let intel = IntelConfig::default();
+    let p = Pipeline::new(cfg.clone());
+    let plan = CampaignPlan {
+        benign_sessions_per_server: 4,
+        attacks: vec![
+            AttackClass::DataExfiltration,
+            AttackClass::Cryptomining,
+            AttackClass::Ransomware,
+        ],
+        interactive: vec![InteractiveScenario::Escalation, InteractiveScenario::Worm],
+        horizon_secs: 4 * 3600,
+        stretch: 1.0,
+        seed,
+    };
+    let mut campaigns = p.build_campaigns(&plan);
+    let mut rng = SimRng::new(seed ^ 0x5a5a);
+    let wave = build_wave(p.deployment(), &intel, &WaveSpec::default(), &mut rng);
+    campaigns.push((SimTime::from_secs(3600), wave.campaign));
+    let mut deployment = Deployment::build(&cfg.deployment);
+    let mut stream = ScenarioStream::new(&mut deployment, campaigns, seed);
+    let mut h = Sha256::new();
+    let (mut segments, mut payload) = (0usize, 0usize);
+    while let Some(item) = stream.next_item() {
+        match item {
+            ScenarioItem::Segment(r) => {
+                segments += 1;
+                payload += r.payload.len();
+                let row = format!(
+                    "S|{}|{:?}|{}|{:?}|{}|{}|{:?}|{}\n",
+                    r.time.0,
+                    r.tuple,
+                    r.flow_id,
+                    r.dir,
+                    r.stream_offset,
+                    r.wire_len,
+                    r.flags,
+                    r.payload.len()
+                );
+                h.update(row.as_bytes()).update(&r.payload);
+            }
+            ScenarioItem::Sys(e) => {
+                h.update(format!("Y|{e:?}\n").as_bytes());
+            }
+            ScenarioItem::Auth(e) => {
+                h.update(format!("A|{e:?}\n").as_bytes());
+            }
+        }
+    }
+    assert!(
+        segments > 1000 && payload > 1 << 20,
+        "seed {seed}: a lab run made only {segments} segments, {payload} payload bytes"
+    );
+    hex::encode(&h.finalize())
+}
+
+#[test]
+fn golden_lab_capture_bytes() {
+    for (seed, want) in [
+        (
+            42,
+            "6b5af73f47f40298213faa531edc519e0d956522a4ce752eb8087a5a2b5c0c4e",
+        ),
+        (
+            7,
+            "584b92f73c7ced77f213794f3c22cb6835b61cda9d8f99283519fee70d7dfe1e",
+        ),
+    ] {
+        assert_eq!(
+            lab_capture_digest(seed),
+            want,
+            "seed {seed}: the lab producer's output changed"
+        );
+    }
 }
